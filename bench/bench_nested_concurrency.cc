@@ -214,7 +214,9 @@ bool PartC() {
     std::shared_ptr<VersionStore> store;
     std::shared_ptr<ConcurrencyController> controller;
     SimResult nested_result = sim.Run(
-        nw.workload, MakeNestedCepFactory(nw.nested), &store, &controller);
+        nw.workload,
+        MakeControllerFactory(ProtocolKind::kNestedCep, {.nested = nw.nested}),
+        &store, &controller);
     const auto* nested =
         dynamic_cast<const NestedCepController*>(controller.get());
     std::printf("%9d %8d %-11s | %9lld %10lld %8lld %7lld %7lld\n", projects,

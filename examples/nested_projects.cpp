@@ -53,8 +53,10 @@ int main(int argc, char** argv) {
   Simulator sim;
   std::shared_ptr<VersionStore> store;
   std::shared_ptr<ConcurrencyController> controller;
-  SimResult result = sim.Run(nw.workload, MakeNestedCepFactory(nw.nested),
-                             &store, &controller);
+  SimResult result = sim.Run(
+      nw.workload,
+      MakeControllerFactory(ProtocolKind::kNestedCep, {.nested = nw.nested}),
+      &store, &controller);
   const auto* nested =
       dynamic_cast<const NestedCepController*>(controller.get());
 

@@ -29,6 +29,12 @@ cmake -B build -S . -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+echo "== perfbench self-test: every workload and metric, tiny rounds =="
+# Builds the Release session benchmark under .bench_build/ and checks that
+# each workload runs correct, prints every BENCHMARK.json metric with its
+# unit, and fails when its correctness ledger is corrupted.
+python3 perfbench/selftest.py
+
 echo "== report artifacts: REPORT_parallel.json + TRACE_chaos.json =="
 ./build/bench/bench_parallel_protocol --json --trace TRACE_chaos.json \
   > REPORT_parallel.json
@@ -241,7 +247,8 @@ cmake --build build-tsan -j
 # reconnect/resend machinery against injected wire faults and lease
 # reclaim; and engine_shutdown_test races engine teardown (including
 # session-destructor rollback) against parked sessions and in-flight
-# group-commit batches.
+# group-commit batches; engine_test drives S2PL and Nested-CEP from two
+# sessions through the engine's serializing decorator.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)"
 # The scenario suite re-runs under TSan too: the concurrent Session-API

@@ -11,54 +11,6 @@
 
 namespace nonserial {
 
-const char* ProtocolKindName(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kCep:
-      return "CEP";
-    case ProtocolKind::kStrict2pl:
-      return "S2PL";
-    case ProtocolKind::kPredicatewise2pl:
-      return "PW-2PL";
-    case ProtocolKind::kMvto:
-      return "MVTO";
-    case ProtocolKind::kPwMvto:
-      return "PW-MVTO";
-  }
-  return "?";
-}
-
-ControllerFactory MakeControllerFactory(ProtocolKind kind) {
-  return [kind](VersionStore* store,
-                const SimWorkload& workload)
-             -> std::unique_ptr<ConcurrencyController> {
-    switch (kind) {
-      case ProtocolKind::kCep:
-        return std::make_unique<CorrectExecutionProtocol>(store);
-      case ProtocolKind::kStrict2pl:
-      case ProtocolKind::kPredicatewise2pl: {
-        TwoPhaseLockingController::Options options;
-        options.predicatewise = kind == ProtocolKind::kPredicatewise2pl;
-        options.objects = workload.objects;
-        auto planned = PlannedOpsOf(workload);
-        for (size_t i = 0; i < planned.size(); ++i) {
-          std::vector<PlannedOp> ops;
-          for (const auto& [is_write, entity] : planned[i]) {
-            ops.push_back(PlannedOp{is_write, entity});
-          }
-          options.planned_ops[static_cast<int>(i)] = std::move(ops);
-        }
-        return std::make_unique<TwoPhaseLockingController>(
-            store, std::move(options));
-      }
-      case ProtocolKind::kMvto:
-        return std::make_unique<MvtoController>(store);
-      case ProtocolKind::kPwMvto:
-        return std::make_unique<PwMvtoController>(store, workload.objects);
-    }
-    return nullptr;
-  };
-}
-
 namespace {
 
 std::string SummarizeStats(const ConcurrencyController& controller) {
@@ -102,8 +54,9 @@ RunReport RunWorkload(const SimWorkload& workload, ProtocolKind kind,
   std::shared_ptr<ConcurrencyController> controller;
   RunReport report;
   report.protocol = ProtocolKindName(kind);
-  report.result = simulator.Run(workload, MakeControllerFactory(kind), &store,
-                                &controller);
+  report.result = simulator.Run(
+      workload, MakeControllerFactory(kind, ProtocolSetupOf(workload)), &store,
+      &controller);
   report.stats_summary = SummarizeStats(*controller);
   if (kind == ProtocolKind::kCep) {
     const auto* cep =

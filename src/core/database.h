@@ -9,23 +9,10 @@
 #include "core/verify.h"
 #include "model/entity.h"
 #include "predicate/predicate.h"
+#include "protocol/registry.h"
 #include "sim/simulator.h"
 
 namespace nonserial {
-
-/// The concurrency-control protocols the library ships.
-enum class ProtocolKind {
-  kCep,              ///< The paper's Correct Execution Protocol.
-  kStrict2pl,        ///< Strict two-phase locking (classical baseline).
-  kPredicatewise2pl, ///< Predicate-wise 2PL (Korth et al. 1988).
-  kMvto,             ///< Multiversion timestamp ordering.
-  kPwMvto            ///< Predicate-wise MVTO ("virtual timestamps").
-};
-
-const char* ProtocolKindName(ProtocolKind kind);
-
-/// Builds a simulator controller factory for a protocol.
-ControllerFactory MakeControllerFactory(ProtocolKind kind);
 
 /// Outcome of running a workload under one protocol.
 struct RunReport {
@@ -39,7 +26,7 @@ struct RunReport {
   std::string stats_summary;
 };
 
-/// Runs a workload under a protocol and (for CEP) formally verifies the
+/// Runs a workload under a flat protocol and (for CEP) formally verifies the
 /// emitted history against the Section 3 model.
 RunReport RunWorkload(const SimWorkload& workload, ProtocolKind kind,
                       const Predicate& constraint,

@@ -23,16 +23,21 @@ using ReqResult = engine::RequestOutcome;
 /// strict two-phase locking, multiversion timestamp ordering, and
 /// predicate-wise two-phase locking.
 ///
-/// Contract: requests are issued by one logical thread (the simulator); a
-/// kBlocked result parks the transaction until its id is surfaced by
-/// TakeWakeups(), after which the *same* request is retried. Controllers
-/// may unilaterally kill transactions (re-evaluation, deadlock victims,
-/// cascades) by surfacing their ids in TakeForcedAborts().
+/// Contract: requests are issued by one logical thread at a time (the
+/// simulator, or the engine's serializing decorator) unless the controller
+/// is thread_safe(); a kBlocked result parks the transaction until its id
+/// is surfaced by TakeWakeups(), after which the *same* request is retried.
+/// Controllers may unilaterally kill transactions (re-evaluation, deadlock
+/// victims, cascades) by surfacing their ids in TakeForcedAborts().
 class ConcurrencyController {
  public:
   virtual ~ConcurrencyController() = default;
 
   virtual std::string name() const = 0;
+
+  /// True iff transactions may be driven from different threads at once;
+  /// the engine serializes every call into a controller that is not.
+  virtual bool thread_safe() const { return false; }
 
   /// Registers transaction `tx` (dense runtime id). Called once, before the
   /// first Begin.

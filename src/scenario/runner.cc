@@ -12,24 +12,48 @@
 #include "common/failpoint.h"
 #include "common/strings.h"
 #include "engine/engine.h"
-#include "scenario/protocols.h"
+#include "protocol/registry.h"
 #include "storage/wal.h"
 
 namespace nonserial {
 namespace scenario {
 namespace {
 
+/// The registry setup a spec supplies, keyed by transaction id == session
+/// index: constraint objects, each session's planned operations, and one
+/// Nested-CEP group per session (its predicates and `after` edges).
+ProtocolSetup SetupFor(const ScenarioSpec& spec) {
+  ProtocolSetup setup;
+  setup.objects = spec.Objects();
+  for (size_t s = 0; s < spec.sessions.size(); ++s) {
+    const SessionSpec& session = spec.sessions[s];
+    std::vector<PlannedOp>& ops = setup.planned_ops[static_cast<int>(s)];
+    for (const Step& step : session.steps) {
+      if (step.kind == Step::Kind::kRead || step.kind == Step::Kind::kWrite) {
+        ops.push_back(PlannedOp{step.kind == Step::Kind::kWrite, step.entity});
+      }
+    }
+    NestedGroup group;
+    group.name = session.name;
+    group.input = session.input;
+    group.output = session.output;
+    group.predecessors = session.predecessors;
+    setup.nested.groups.push_back(std::move(group));
+    setup.nested.group_of_tx.push_back(static_cast<int>(s));
+  }
+  return setup;
+}
+
 /// The TxSpec a session registers under. Nested-CEP encodes the partial
-/// order at the group level (the factory already copied the `after` edges
-/// into the group predecessors), so the flat profile must not repeat them.
-engine::TxSpec ProfileFor(const ScenarioSpec& spec, int s,
-                          const std::string& protocol) {
+/// order at the group level (SetupFor copied the `after` edges into the
+/// group predecessors), so the flat profile must not repeat them.
+engine::TxSpec ProfileFor(const ScenarioSpec& spec, int s, ProtocolKind kind) {
   const SessionSpec& session = spec.sessions[s];
   engine::TxSpec tx;
   tx.name = session.name;
   tx.input = session.input;
   tx.output = session.output;
-  if (protocol != "Nested-CEP") tx.predecessors = session.predecessors;
+  if (kind != ProtocolKind::kNestedCep) tx.predecessors = session.predecessors;
   return tx;
 }
 
@@ -51,14 +75,13 @@ class StepDriver {
   StepDriver(const ScenarioSpec& spec, std::string protocol, bool verbose,
              WriteAheadLog* wal)
       : spec_(spec), protocol_(std::move(protocol)), verbose_(verbose) {
+    StatusOr<ProtocolKind> kind = ParseProtocolKind(protocol_);
+    init_status_ = kind.status();
+    if (!init_status_.ok()) return;
     EngineOptions options;
     options.initial = spec_.initial;
     options.wal = wal;
-    StatusOr<ControllerFactory> factory =
-        MakeControllerFactory(protocol_, spec_);
-    init_status_ = factory.status();
-    if (!init_status_.ok()) return;
-    options.controller_factory = *std::move(factory);
+    options.controller_factory = MakeControllerFactory(*kind, SetupFor(spec_));
     engine_ = std::make_unique<Engine>(std::move(options));
     cc_ = engine_->controller();
     sessions_.resize(spec_.sessions.size());
@@ -69,7 +92,7 @@ class StepDriver {
       // authorized together with the first step.
       sess.implicit_begin = steps[0].kind != Step::Kind::kBegin;
       cc_->Register(static_cast<int>(s),
-                    ProfileFor(spec_, static_cast<int>(s), protocol_));
+                    ProfileFor(spec_, static_cast<int>(s), *kind));
       sess.view = spec_.initial;
     }
   }
@@ -294,12 +317,13 @@ StatusOr<ScenarioRunResult> RunPermutation(const ScenarioSpec& spec,
 StatusOr<ScenarioRunResult> RunConcurrentViaSessions(
     const ScenarioSpec& spec, const std::string& protocol,
     int64_t max_blocked_us) {
+  StatusOr<ProtocolKind> kind = ParseProtocolKind(protocol);
+  if (!kind.ok()) return kind.status();
   EngineOptions engine_options;
   engine_options.initial = spec.initial;
   engine_options.max_blocked_us = max_blocked_us;
-  StatusOr<ControllerFactory> factory = MakeControllerFactory(protocol, spec);
-  if (!factory.ok()) return factory.status();
-  engine_options.controller_factory = *std::move(factory);
+  engine_options.controller_factory =
+      MakeControllerFactory(*kind, SetupFor(spec));
   Engine engine(std::move(engine_options));
   ScopedEngineShutdown teardown(&engine);
 
@@ -307,10 +331,12 @@ StatusOr<ScenarioRunResult> RunConcurrentViaSessions(
   std::vector<Verdict> verdicts(n, Verdict::kAbort);
   std::vector<HistOp> history;
   std::mutex history_mu;
-  // Begin issuance is ticketed in session order so runtime transaction ids
-  // equal session indices (predecessor edges and the Nested-CEP group map
-  // are expressed in session indices). Everything after Begin returns runs
-  // under free OS scheduling.
+  // Sessions open in session order, so runtime transaction ids equal
+  // session indices (predecessor edges and the Nested-CEP group map are
+  // expressed in session indices). Begin issuance is ticketed in the same
+  // order; everything after Begin returns runs under free OS scheduling.
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int s = 0; s < n; ++s) sessions.push_back(engine.OpenSession());
   std::mutex turn_mu;
   std::condition_variable turn_cv;
   int turn = 0;
@@ -319,12 +345,12 @@ StatusOr<ScenarioRunResult> RunConcurrentViaSessions(
   threads.reserve(n);
   for (int s = 0; s < n; ++s) {
     threads.emplace_back([&, s] {
-      std::unique_ptr<Session> session = engine.OpenSession();
+      std::unique_ptr<Session> session = std::move(sessions[s]);
       {
         std::unique_lock<std::mutex> lock(turn_mu);
         turn_cv.wait(lock, [&] { return turn == s; });
       }
-      Status begun = session->Begin(ProfileFor(spec, s, protocol));
+      Status begun = session->Begin(ProfileFor(spec, s, *kind));
       {
         std::lock_guard<std::mutex> lock(turn_mu);
         ++turn;
@@ -543,13 +569,15 @@ StatusOr<SpecResult> RunSpec(const ScenarioSpec& spec,
                              const SuiteOptions& options) {
   SpecResult out;
   out.name = spec.name;
-  std::vector<std::string> protocols =
-      options.protocols.empty() ? ProtocolNames() : options.protocols;
-  for (const std::string& protocol : protocols) {
-    if (!IsProtocolName(protocol)) {
-      return Status::InvalidArgument(
-          StrCat("unknown protocol '", protocol, "'"));
+  std::vector<std::string> protocols = options.protocols;
+  if (protocols.empty()) {
+    for (ProtocolKind kind : AllProtocolKinds()) {
+      protocols.push_back(ProtocolKindName(kind));
     }
+  }
+  for (const std::string& protocol : protocols) {
+    StatusOr<ProtocolKind> kind = ParseProtocolKind(protocol);
+    if (!kind.ok()) return kind.status();
   }
   auto selected = [&protocols](const std::string& name) {
     return std::find(protocols.begin(), protocols.end(), name) !=
@@ -565,7 +593,7 @@ StatusOr<SpecResult> RunSpec(const ScenarioSpec& spec,
   // Expect blocks referencing unregistered protocols are authoring bugs.
   for (size_t pi = 0; pi < spec.permutations.size(); ++pi) {
     for (const Expectation& expect : spec.permutations[pi].expectations) {
-      if (!IsProtocolName(expect.protocol)) {
+      if (!ParseProtocolKind(expect.protocol).ok()) {
         out.failures.push_back(StrCat(spec.name, " permutation #", pi,
                                       ": expect block names unknown protocol "
                                       "'", expect.protocol, "'"));

@@ -49,6 +49,20 @@ std::vector<std::vector<std::pair<bool, EntityId>>> PlannedOpsOf(
   return out;
 }
 
+ProtocolSetup ProtocolSetupOf(const SimWorkload& workload) {
+  ProtocolSetup setup;
+  setup.objects = workload.objects;
+  std::vector<std::vector<std::pair<bool, EntityId>>> planned =
+      PlannedOpsOf(workload);
+  for (size_t i = 0; i < planned.size(); ++i) {
+    std::vector<PlannedOp>& ops = setup.planned_ops[static_cast<int>(i)];
+    for (const auto& [is_write, entity] : planned[i]) {
+      ops.push_back(PlannedOp{is_write, entity});
+    }
+  }
+  return setup;
+}
+
 namespace {
 
 /// The per-run engine. Owns the event queue and per-transaction runtime
@@ -435,8 +449,7 @@ SimResult Simulator::Run(
     std::shared_ptr<VersionStore>* store_out,
     std::shared_ptr<ConcurrencyController>* controller_out) const {
   auto store = std::make_shared<VersionStore>(workload.initial);
-  std::shared_ptr<ConcurrencyController> controller =
-      factory(store.get(), workload);
+  std::shared_ptr<ConcurrencyController> controller = factory(store.get());
   Runner runner(workload, config_, store.get(), controller.get());
   SimResult result = runner.Run();
   if (store_out != nullptr) *store_out = store;

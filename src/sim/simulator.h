@@ -2,7 +2,6 @@
 #define NONSERIAL_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "model/transaction.h"
 #include "predicate/predicate.h"
 #include "protocol/controller.h"
+#include "protocol/registry.h"
 #include "schedule/schedule.h"
 #include "storage/version_store.h"
 
@@ -115,12 +115,6 @@ struct SimResult {
   }
 };
 
-/// Builds a controller over a freshly initialized version store. The
-/// factory also receives the workload (predicate-wise 2PL needs the
-/// constraint objects and planned ops).
-using ControllerFactory = std::function<std::unique_ptr<ConcurrencyController>(
-    VersionStore*, const SimWorkload&)>;
-
 /// Single-threaded discrete-event simulator driving a set of transaction
 /// scripts through a pluggable concurrency controller. This is the
 /// substitute for the paper's human-paced CAD environment: waiting, aborted
@@ -145,6 +139,10 @@ class Simulator {
 /// Builds per-transaction planned-op lists (for predicate-wise 2PL).
 std::vector<std::vector<std::pair<bool, EntityId>>> PlannedOpsOf(
     const SimWorkload& workload);
+
+/// The registry setup a flat workload supplies: constraint objects and
+/// planned operations (Nested-CEP groups come from workload/nested_gen.h).
+ProtocolSetup ProtocolSetupOf(const SimWorkload& workload);
 
 }  // namespace nonserial
 

@@ -95,11 +95,4 @@ NestedWorkload MakeNestedDesignWorkload(const NestedWorkloadParams& params) {
   return out;
 }
 
-ControllerFactory MakeNestedCepFactory(NestedCepController::Options options) {
-  return [options](VersionStore* store, const SimWorkload& /*workload*/)
-             -> std::unique_ptr<ConcurrencyController> {
-    return std::make_unique<NestedCepController>(store, options);
-  };
-}
-
 }  // namespace nonserial

@@ -39,10 +39,6 @@ struct NestedWorkloadParams {
 /// correct executions.
 NestedWorkload MakeNestedDesignWorkload(const NestedWorkloadParams& params);
 
-/// Controller factory running the workload under the hierarchical
-/// protocol.
-ControllerFactory MakeNestedCepFactory(NestedCepController::Options options);
-
 }  // namespace nonserial
 
 #endif  // NONSERIAL_WORKLOAD_NESTED_GEN_H_

@@ -40,9 +40,9 @@ TEST(ChaosTest, CrashRestartCyclesWithFailpointsStayCorrect) {
   config.us_per_tick = 20;  // 5-tick thinks = 100µs: crashes land mid-flight.
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 100;
+  config.engine.poll_us = 100;
   config.max_wall_ms = 60'000;
-  config.protocol.metrics = &metrics;
+  config.engine.protocol.metrics = &metrics;
   config.chaos.enabled = true;
   config.chaos.seed = 77;
   config.chaos.crash_cycles = 5;
@@ -114,10 +114,10 @@ TEST(ChaosTest, CheckpointCompactionKeepsTheLogBoundedAcrossCycles) {
   config.us_per_tick = 20;
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 100;
+  config.engine.poll_us = 100;
   config.max_wall_ms = 60'000;
-  config.wal = &wal;
-  config.protocol.metrics = &metrics;
+  config.engine.wal = &wal;
+  config.engine.protocol.metrics = &metrics;
   config.chaos.enabled = true;
   config.chaos.seed = 91;
   config.chaos.crash_cycles = 10;
@@ -174,12 +174,12 @@ TEST(ChaosTest, GroupCommitSurvivesCrashCyclesMediaFaultsAndCompaction) {
   config.us_per_tick = 20;
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 100;
+  config.engine.poll_us = 100;
   config.max_wall_ms = 60'000;
-  config.wal = &wal;
-  config.wal_group_commit = true;
-  config.wal_flush_us = 50;
-  config.protocol.metrics = &metrics;
+  config.engine.wal = &wal;
+  config.engine.wal_group_commit = true;
+  config.engine.wal_flush_us = 50;
+  config.engine.protocol.metrics = &metrics;
   config.chaos.enabled = true;
   config.chaos.seed = 29;
   config.chaos.crash_cycles = 6;
@@ -239,10 +239,10 @@ TEST(ChaosTest, MediaFaultsAreSalvagedNeverSilent) {
   config.us_per_tick = 20;
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 100;
+  config.engine.poll_us = 100;
   config.max_wall_ms = 60'000;
-  config.wal = &wal;
-  config.protocol.metrics = &metrics;
+  config.engine.wal = &wal;
+  config.engine.protocol.metrics = &metrics;
   config.chaos.enabled = true;
   config.chaos.seed = 17;
   config.chaos.crash_cycles = 6;
@@ -302,10 +302,10 @@ TEST(ChaosTest, BoundedWaitAbortsBlockedAttemptsAndStillCompletes) {
   config.us_per_tick = 0;
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 50;
-  config.max_blocked_us = 200;
+  config.engine.poll_us = 50;
+  config.engine.max_blocked_us = 200;
   config.max_wall_ms = 60'000;
-  config.protocol.metrics = &metrics;
+  config.engine.protocol.metrics = &metrics;
   ParallelDriver driver(config);
   std::shared_ptr<VersionStore> store;
   std::shared_ptr<CorrectExecutionProtocol> cep;
@@ -351,8 +351,8 @@ TEST(ChaosTest, LostWakeupsCostLatencyNotLiveness) {
   config.us_per_tick = 100;  // The 200-tick think = 20ms of predecessor lag.
   config.max_restarts = 500;
   config.backoff_us = 1;
-  config.poll_us = 50;
-  config.max_poll_us = 2'000;
+  config.engine.poll_us = 50;
+  config.engine.max_poll_us = 2'000;
   config.max_wall_ms = 60'000;
   ParallelDriver driver(config);
   std::shared_ptr<VersionStore> store;

@@ -142,13 +142,5 @@ TEST(DatabaseRunTest, NonSerializableButCorrectUnderCep) {
   EXPECT_EQ(report->result.final_state, (ValueVector{51, 51}));
 }
 
-TEST(DatabaseTest, ProtocolKindNames) {
-  EXPECT_STREQ(ProtocolKindName(ProtocolKind::kCep), "CEP");
-  EXPECT_STREQ(ProtocolKindName(ProtocolKind::kStrict2pl), "S2PL");
-  EXPECT_STREQ(ProtocolKindName(ProtocolKind::kPredicatewise2pl), "PW-2PL");
-  EXPECT_STREQ(ProtocolKindName(ProtocolKind::kMvto), "MVTO");
-  EXPECT_STREQ(ProtocolKindName(ProtocolKind::kPwMvto), "PW-MVTO");
-}
-
 }  // namespace
 }  // namespace nonserial

@@ -20,8 +20,10 @@ TEST(NestedSimTest, SmallNestedWorkloadCommitsEverything) {
   Simulator sim;
   std::shared_ptr<VersionStore> store;
   std::shared_ptr<ConcurrencyController> controller;
-  SimResult result = sim.Run(nw.workload, MakeNestedCepFactory(nw.nested),
-                             &store, &controller);
+  SimResult result = sim.Run(
+      nw.workload,
+      MakeControllerFactory(ProtocolKind::kNestedCep, {.nested = nw.nested}),
+      &store, &controller);
   EXPECT_TRUE(result.all_committed);
   // Every entity stays within bounds: the scope constraints held.
   for (Value v : result.final_state) {
@@ -53,7 +55,9 @@ TEST_P(NestedSweepTest, NestedRunsConvergeAcrossSeeds) {
   NestedWorkload nw = MakeNestedDesignWorkload(params);
 
   Simulator sim;
-  SimResult result = sim.Run(nw.workload, MakeNestedCepFactory(nw.nested));
+  SimResult result = sim.Run(
+      nw.workload,
+      MakeControllerFactory(ProtocolKind::kNestedCep, {.nested = nw.nested}));
   EXPECT_TRUE(result.all_committed) << "seed " << GetParam();
   for (Value v : result.final_state) {
     EXPECT_GE(v, 0);
@@ -97,7 +101,9 @@ TEST(NestedSimTest, ChainedProjectsSeeEachOthersResults) {
   nw.workload.txs = {ta, tb};
 
   Simulator sim;
-  SimResult result = sim.Run(nw.workload, MakeNestedCepFactory(nw.nested));
+  SimResult result = sim.Run(
+      nw.workload,
+      MakeControllerFactory(ProtocolKind::kNestedCep, {.nested = nw.nested}));
   ASSERT_TRUE(result.all_committed);
   EXPECT_EQ(result.final_state[0], 76);  // 75 from A, +1 from B.
 }

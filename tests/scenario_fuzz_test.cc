@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/registry.h"
 #include "scenario/parser.h"
-#include "scenario/protocols.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "fuzz_support.h"
@@ -139,7 +139,8 @@ TEST(ScenarioFuzz, RunnerSurvivesRandomValidInterleavings) {
     if (!fuzz::ShouldRunSeed(seed)) continue;
     std::mt19937_64 rng(seed);
     const std::vector<StepRef>& order = orders[rng() % orders.size()];
-    for (const std::string& protocol : ProtocolNames()) {
+    for (ProtocolKind kind : AllProtocolKinds()) {
+      const std::string protocol = ProtocolKindName(kind);
       StatusOr<ScenarioRunResult> run = RunPermutation(*spec, order, protocol);
       ASSERT_TRUE(run.ok()) << protocol << " " << fuzz::ReproduceHint(seed);
       EXPECT_EQ(run->verdicts.size(), spec->sessions.size())

@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "protocol/registry.h"
 #include "scenario/parser.h"
-#include "scenario/protocols.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -96,7 +96,8 @@ TEST(ScenarioRunner, MvtoAbortsTheLateWriter) {
 
 TEST(ScenarioRunner, EveryProtocolTerminatesAndAgreesWithIncrementalCpc) {
   ScenarioSpec spec = ParseOrDie(kWriteSkew);
-  for (const std::string& protocol : ProtocolNames()) {
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    const std::string protocol = ProtocolKindName(kind);
     StatusOr<ScenarioRunResult> run =
         RunPermutation(spec, spec.permutations[0].order, protocol);
     ASSERT_TRUE(run.ok()) << protocol;
@@ -185,11 +186,11 @@ TEST(ScenarioRunner, EngineHostsEveryProtocolThroughTheFactory) {
   // working controller with cep() == nullptr; the default path keeps
   // cep() valid.
   ScenarioSpec spec = ParseOrDie(kWriteSkew);
-  StatusOr<ControllerFactory> factory = MakeControllerFactory("S2PL", spec);
-  ASSERT_TRUE(factory.ok());
+  StatusOr<ProtocolKind> kind = ParseProtocolKind("S2PL");
+  ASSERT_TRUE(kind.ok());
   EngineOptions options;
   options.initial = spec.initial;
-  options.controller_factory = *std::move(factory);
+  options.controller_factory = MakeControllerFactory(*kind);
   Engine engine(std::move(options));
   ScopedEngineShutdown teardown(&engine);
   EXPECT_NE(engine.controller(), nullptr);
@@ -264,7 +265,8 @@ session s2 {
 permutation r1x r2y r1y r2x w1y w2x c1 c2
 )spec";
   ScenarioSpec spec = ParseOrDie(kCross);
-  for (const std::string& protocol : ProtocolNames()) {
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    const std::string protocol = ProtocolKindName(kind);
     StatusOr<ScenarioRunResult> run =
         RunPermutation(spec, spec.permutations[0].order, protocol);
     ASSERT_TRUE(run.ok()) << protocol;
@@ -282,7 +284,8 @@ TEST(ScenarioRunner, ConcurrentSessionsMatchTheProtocolContract) {
   // vectors, differential CPC agreement, and a constraint-satisfying
   // final state.
   ScenarioSpec spec = ParseOrDie(kWriteSkew);
-  for (const std::string& protocol : ProtocolNames()) {
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    const std::string protocol = ProtocolKindName(kind);
     StatusOr<ScenarioRunResult> run =
         RunConcurrentViaSessions(spec, protocol, /*max_blocked_us=*/500'000);
     ASSERT_TRUE(run.ok()) << protocol << ": " << run.status().ToString();

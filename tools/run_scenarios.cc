@@ -36,8 +36,8 @@
 #include "common/report.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "protocol/registry.h"
 #include "scenario/parser.h"
-#include "scenario/protocols.h"
 #include "scenario/runner.h"
 
 namespace nonserial {
@@ -117,8 +117,13 @@ int Run(const Flags& flags) {
 
   ReportBuilder report("scenarios");
   report.config()["protocols"] = Json::Array();
-  for (const std::string& protocol :
-       flags.protocols.empty() ? ProtocolNames() : flags.protocols) {
+  std::vector<std::string> protocols = flags.protocols;
+  if (protocols.empty()) {
+    for (ProtocolKind kind : AllProtocolKinds()) {
+      protocols.push_back(ProtocolKindName(kind));
+    }
+  }
+  for (const std::string& protocol : protocols) {
     report.config()["protocols"].Push(protocol);
   }
   report.config()["chaos"] = flags.chaos;
