@@ -23,13 +23,6 @@ class PrintingObserver : public CepObserver {
   }
 };
 
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 TxProfile Profile(const char* name, Predicate input,
                   std::vector<int> preds = {}) {
   TxProfile profile;

@@ -136,6 +136,11 @@ Atom EntityVsEntity(EntityId a, CompareOp op, EntityId b) {
   return MakeAtom(Term::Entity(a), op, Term::Entity(b));
 }
 
+Predicate Range(EntityId e, Value lo, Value hi) {
+  return Predicate({Clause({EntityVsConst(e, CompareOp::kGe, lo)}),
+                    Clause({EntityVsConst(e, CompareOp::kLe, hi)})});
+}
+
 namespace {
 
 /// Minimal recursive-descent parser for the predicate grammar.

@@ -130,6 +130,8 @@ class Predicate {
 Atom MakeAtom(Term lhs, CompareOp op, Term rhs);
 Atom EntityVsConst(EntityId e, CompareOp op, Value c);
 Atom EntityVsEntity(EntityId a, CompareOp op, EntityId b);
+/// The domain constraint lo <= e <= hi, as two unit clauses.
+Predicate Range(EntityId e, Value lo, Value hi);
 
 /// Parses a predicate from text. Grammar (whitespace-insensitive):
 ///

@@ -709,6 +709,27 @@ void CorrectExecutionProtocol::InjectAbort(int tx) {
   ForceAbort(tx, &stats_.injected_aborts, CepEvent::Kind::kInjectedAbort);
 }
 
+CorrectExecutionProtocol::TxRecord CorrectExecutionProtocol::TxRecord::Recovered(
+    const RecoveredTx& t) {
+  TxRecord record;
+  record.name = t.name;
+  record.input_state = t.input_state;
+  record.feeder_txs.insert(t.feeders.begin(), t.feeders.end());
+  record.writes = t.writes;
+  record.committed = true;
+  return record;
+}
+
+std::vector<CorrectExecutionProtocol::TxRecord> RecoveredRecords(
+    const std::vector<RecoveredTx>& committed, size_t num_txs) {
+  std::vector<CorrectExecutionProtocol::TxRecord> records(num_txs);
+  for (const RecoveredTx& t : committed) {
+    if (static_cast<size_t>(t.tx) >= records.size()) records.resize(t.tx + 1);
+    records[t.tx] = CorrectExecutionProtocol::TxRecord::Recovered(t);
+  }
+  return records;
+}
+
 void CorrectExecutionProtocol::RestoreCommitted(int tx, TxRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   NONSERIAL_CHECK_GE(tx, 0);

@@ -6,13 +6,6 @@
 namespace nonserial {
 namespace {
 
-Predicate RangePredicate(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 TEST(AssignmentSearchTest, TruePredicateTrivial) {
   std::vector<std::vector<Value>> candidates = {{1, 2}, {3}};
   auto choice = FindSatisfyingAssignment(Predicate::True(), candidates);
@@ -23,7 +16,7 @@ TEST(AssignmentSearchTest, TruePredicateTrivial) {
 
 TEST(AssignmentSearchTest, PicksSatisfyingVersion) {
   std::vector<std::vector<Value>> candidates = {{5, 50, 500}};
-  auto choice = FindSatisfyingAssignment(RangePredicate(0, 10, 100),
+  auto choice = FindSatisfyingAssignment(Range(0, 10, 100),
                                          candidates);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ((*choice)[0], 1);  // Value 50.
@@ -32,7 +25,7 @@ TEST(AssignmentSearchTest, PicksSatisfyingVersion) {
 TEST(AssignmentSearchTest, UnsatisfiableReturnsNullopt) {
   std::vector<std::vector<Value>> candidates = {{5, 500}};
   EXPECT_FALSE(
-      FindSatisfyingAssignment(RangePredicate(0, 10, 100), candidates)
+      FindSatisfyingAssignment(Range(0, 10, 100), candidates)
           .has_value());
 }
 
@@ -49,13 +42,13 @@ TEST(AssignmentSearchTest, CrossEntityConstraint) {
 
 TEST(AssignmentSearchTest, EmptyCandidateListFails) {
   std::vector<std::vector<Value>> candidates = {{}};
-  EXPECT_FALSE(FindSatisfyingAssignment(RangePredicate(0, 0, 10), candidates)
+  EXPECT_FALSE(FindSatisfyingAssignment(Range(0, 0, 10), candidates)
                    .has_value());
 }
 
 TEST(AssignmentSearchTest, PredicateMentionsUnknownEntityFails) {
   std::vector<std::vector<Value>> candidates = {{1}};
-  EXPECT_FALSE(FindSatisfyingAssignment(RangePredicate(3, 0, 10), candidates)
+  EXPECT_FALSE(FindSatisfyingAssignment(Range(3, 0, 10), candidates)
                    .has_value());
 }
 

@@ -6,13 +6,6 @@ namespace nonserial {
 namespace {
 
 // Entities x=0, y=1 with initial value 50 and domain constraint [0, 100].
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 TxProfile Profile(const std::string& name, Predicate input,
                   Predicate output = Predicate::True(),
                   std::vector<int> preds = {}) {

@@ -16,13 +16,6 @@
 namespace nonserial {
 namespace {
 
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 engine::TxSpec Spec(const std::string& name,
                     Predicate input = Predicate::True()) {
   engine::TxSpec spec;

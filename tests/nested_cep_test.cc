@@ -5,13 +5,6 @@
 namespace nonserial {
 namespace {
 
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 TxProfile Profile(const std::string& name, Predicate input,
                   std::vector<int> preds = {},
                   Predicate output = Predicate::True()) {

@@ -20,13 +20,6 @@
 namespace nonserial {
 namespace {
 
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 // The write-skew guard: both entities still at-or-below the initial 50.
 Predicate BothBelow50() {
   Predicate p;

@@ -7,13 +7,6 @@
 namespace nonserial {
 namespace {
 
-Predicate Range(EntityId e, Value lo, Value hi) {
-  Predicate p;
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, lo)}));
-  p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, hi)}));
-  return p;
-}
-
 TxProfile Profile(const std::string& name,
                   std::vector<int> preds = {},
                   Predicate output = Predicate::True()) {
