@@ -25,7 +25,7 @@ else
 fi
 
 echo "== [1/3] normal build =="
-cmake -B build -S . -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 

@@ -44,7 +44,9 @@ int64_t Histogram::ApproxPercentile(double p) const {
   for (int b = 0; b < kNumBuckets; ++b) {
     seen += buckets_[b].load(std::memory_order_relaxed);
     if (seen >= rank) {
-      return b == 0 ? 0 : (int64_t{1} << b) - 1;  // Bucket upper bound.
+      if (b == 0) return 0;
+      // The top bucket is open-ended: its upper bound is the largest sample.
+      return b == kNumBuckets - 1 ? max() : (int64_t{1} << b) - 1;
     }
   }
   return max();

@@ -34,7 +34,8 @@ class Histogram {
   int64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  /// Upper bound of the bucket containing the p-quantile (p in [0, 1]).
+  /// Upper bound of the bucket containing the p-quantile (p in [0, 1]);
+  /// max() for the open-ended top bucket.
   int64_t ApproxPercentile(double p) const;
 
   /// Compact one-line rendering: "n=… mean=… p50≤… p99≤… max=…".

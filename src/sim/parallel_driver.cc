@@ -78,8 +78,10 @@ class Driver {
         sessions_(sessions),
         recovered_(recovered),
         crash_after_us_(crash_after_us),
-        storm_rng_(storm_seed) {
+        storm_rng_(storm_seed),
+        held_(std::make_unique<std::atomic<bool>[]>(workload.txs.size())) {
     result_.tx.resize(workload.txs.size());
+    stormed_.resize(workload.txs.size(), false);
   }
 
   ParallelRunResult Run() {
@@ -123,7 +125,7 @@ class Driver {
   }
 
   /// The run's clock, on the calling thread until the workers finish: storms
-  /// at their interval, then the crash timer, which kills the engine
+  /// at their interval, and the crash timer, which kills the engine
   /// (attempts are abandoned, as in a crash), or the watchdog, which shuts
   /// it down (parked attempts wake and roll back).
   void WatchClock(Clock::time_point start) {
@@ -147,6 +149,12 @@ class Driver {
         return;
       }
       Clock::time_point now = Clock::now();
+      // A due storm fires before a due crash: on a slow clock (sanitizer
+      // builds, a loaded machine) the first wake-up can land past both.
+      if (storms && now >= next_storm) {
+        Storm();
+        next_storm = now + storm_interval;
+      }
       if (now >= crash_at) {
         expired_ = now >= deadline;
         if (crash_after_us_ >= 0) {
@@ -159,14 +167,27 @@ class Driver {
         halted_.store(true, std::memory_order_release);
         return;
       }
-      if (storms && now >= next_storm) {
-        // The owning session sees the forced abort; its worker restarts.
-        int num_txs = static_cast<int>(workload_.txs.size());
-        for (int i = 0; i < chaos.aborts_per_storm; ++i) {
-          engine_->InjectAbort(static_cast<int>(storm_rng_.Uniform(num_txs)));
-        }
-        next_storm = now + storm_interval;
+    }
+  }
+
+  /// Forces `aborts_per_storm` attempts that workers hold right now to
+  /// abort: forcing an idle or committed transaction is a no-op. Each
+  /// transaction takes at most one storm abort per run (one crash cycle),
+  /// so storms cannot starve it. The owning session sees the forced abort; its worker
+  /// restarts.
+  void Storm() {
+    std::vector<int> held;
+    for (size_t tx = 0; tx < workload_.txs.size(); ++tx) {
+      if (held_[tx].load() && !stormed_[tx]) {
+        held.push_back(static_cast<int>(tx));
       }
+    }
+    for (int i = 0; i < config_.chaos.aborts_per_storm && !held.empty(); ++i) {
+      const size_t pick =
+          storm_rng_.Uniform(static_cast<uint32_t>(held.size()));
+      stormed_[held[pick]] = true;
+      engine_->InjectAbort(held[pick]);
+      held.erase(held.begin() + static_cast<ptrdiff_t>(pick));
     }
   }
 
@@ -220,6 +241,7 @@ class Driver {
       };
 
       bool ok = session->Begin(specs_[tx]).ok();
+      held_[tx].store(ok);
       close_phase("validate", ok,
                   metrics == nullptr ? nullptr : &metrics->span_validate);
       if (ok) {
@@ -232,6 +254,7 @@ class Driver {
         close_phase("terminate", ok,
                     metrics == nullptr ? nullptr : &metrics->span_terminate);
       }
+      held_[tx].store(false);
       if (ok) {
         outcome.committed = true;
         break;
@@ -295,6 +318,10 @@ class Driver {
   const std::vector<bool>& recovered_;
   int64_t crash_after_us_;
   Rng storm_rng_;
+  /// held_[tx]: a worker is inside an attempt of tx (begun, not yet
+  /// committed or rolled back) — what storms aim at.
+  std::unique_ptr<std::atomic<bool>[]> held_;
+  std::vector<bool> stormed_;  ///< A storm aborted tx; clock thread only.
 
   std::atomic<int> next_tx_{0};
   /// Set by the clock once it has killed or shut down the engine; workers

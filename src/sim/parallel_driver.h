@@ -30,8 +30,9 @@ struct ChaosConfig {
   /// [min_cycle_us, max_cycle_us] of wall time.
   int64_t min_cycle_us = 2'000;
   int64_t max_cycle_us = 20'000;
-  /// Forced-abort storm: every interval, `aborts_per_storm` random
-  /// transactions get InjectAbort'ed. 0 disables storms.
+  /// Forced-abort storm: every interval, `aborts_per_storm` random picks
+  /// among the transactions workers hold in an attempt get InjectAbort'ed,
+  /// each transaction at most once per cycle. 0 disables storms.
   int64_t abort_storm_interval_us = 1'000;
   int aborts_per_storm = 2;
   /// Failpoints armed for the duration of the chaos run (disarmed after).

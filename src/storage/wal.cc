@@ -5,6 +5,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -20,15 +21,6 @@ namespace {
 using wal_format::DecodedFrame;
 using wal_format::DecodeFrame;
 using wal_format::FrameStatus;
-
-/// Non-owning view of one segment, so the scan can run over the live
-/// segments (Checkpoint, under the log mutex) or over a copied image
-/// (Recover, lock-free) with the same code.
-struct SegView {
-  uint64_t seq = 0;
-  const std::string* bytes = nullptr;
-  bool lost = false;
-};
 
 /// True iff any complete, CRC-valid frame starts at or after `from` — the
 /// probe that separates a torn tail (nothing valid follows the damage) from
@@ -66,34 +58,15 @@ struct ScanResult {
 /// Walks the segments in order, decoding frames defensively. Records stop
 /// accumulating at the first undecodable point; the rest of the image is
 /// still probed so the caller can classify the damage (torn tail vs mid-log
-/// corruption) and report per-segment diagnostics.
-ScanResult ScanSegments(const std::vector<SegView>& segs) {
+/// corruption) and report per-segment diagnostics. `segs` holds segments
+/// with `seq`, `bytes` and `lost`: the live ones (compaction, under the log
+/// mutex) or a copy (Recover, lock-free).
+template <typename Segments>
+ScanResult ScanSegments(const Segments& segs) {
   ScanResult out;
   bool first_frame = true;
-  // A log legitimately starts past seq 0 only after a checkpoint install
-  // (ResetSegmentsLocked), which always writes the checkpoint as the first
-  // frame. A first segment with a nonzero seq and no leading checkpoint
-  // means the log's head was lost — without this check, dropping the first
-  // segment(s) would replay a truncated history as if it were complete.
-  // (A first frame that is itself damaged needs no flag here: the per-
-  // segment scan below finds it at offset 0 and the torn-vs-corrupt
-  // classification applies as usual.)
-  if (!segs.empty() && segs[0].seq != 0 && !segs[0].lost &&
-      !segs[0].bytes->empty()) {
-    DecodedFrame f = DecodeFrame(segs[0].bytes->data(), segs[0].bytes->size());
-    if (f.status == FrameStatus::kOk && !f.is_checkpoint) {
-      SegmentDiagnostic gap;
-      gap.seq = 0;
-      gap.state = SegmentDiagnostic::State::kLost;
-      gap.detail = "log head missing (first surviving segment has seq " +
-                   std::to_string(segs[0].seq) + " and no checkpoint)";
-      out.diags.push_back(std::move(gap));
-      out.bad = true;
-      out.lost_segment = true;
-    }
-  }
   for (size_t si = 0; si < segs.size(); ++si) {
-    const SegView& seg = segs[si];
+    const auto& seg = segs[si];
     if (si > 0 && seg.seq != segs[si - 1].seq + 1) {
       SegmentDiagnostic gap;
       gap.seq = segs[si - 1].seq + 1;
@@ -105,7 +78,7 @@ ScanResult ScanSegments(const std::vector<SegView>& segs) {
     }
     SegmentDiagnostic d;
     d.seq = seg.seq;
-    d.bytes = static_cast<int64_t>(seg.bytes->size());
+    d.bytes = static_cast<int64_t>(seg.bytes.size());
     if (seg.lost) {
       d.state = SegmentDiagnostic::State::kLost;
       d.detail = "segment lost (tombstone)";
@@ -115,13 +88,13 @@ ScanResult ScanSegments(const std::vector<SegView>& segs) {
       continue;
     }
     size_t pos = 0;
-    while (pos < seg.bytes->size()) {
-      DecodedFrame f = DecodeFrame(seg.bytes->data() + pos,
-                                   seg.bytes->size() - pos);
+    while (pos < seg.bytes.size()) {
+      DecodedFrame f = DecodeFrame(seg.bytes.data() + pos,
+                                   seg.bytes.size() - pos);
       if (f.status != FrameStatus::kOk) {
         if (out.bad) {
           // Already past the first damage; just probe for survivors.
-          if (AnyValidFrameFrom(*seg.bytes, pos + 1)) out.valid_after_bad = true;
+          if (AnyValidFrameFrom(seg.bytes, pos + 1)) out.valid_after_bad = true;
         } else {
           out.bad = true;
           d.first_bad_offset = static_cast<int64_t>(pos);
@@ -131,9 +104,27 @@ ScanResult ScanSegments(const std::vector<SegView>& segs) {
           d.detail = f.status == FrameStatus::kTruncated
                          ? "incomplete frame (torn write)"
                          : "undecodable frame (bad magic, CRC, or payload)";
-          if (AnyValidFrameFrom(*seg.bytes, pos + 1)) out.valid_after_bad = true;
+          if (AnyValidFrameFrom(seg.bytes, pos + 1)) out.valid_after_bad = true;
         }
         break;
+      }
+      if (si == 0 && pos == 0 && seg.seq != 0 && !f.is_checkpoint) {
+        // A log legitimately starts past seq 0 only after a checkpoint
+        // install (ResetSegmentsLocked), which always writes the checkpoint
+        // as the first frame. A first segment with a nonzero seq and no
+        // leading checkpoint means the log's head was lost — without this
+        // check, dropping the first segment(s) would replay a truncated
+        // history as if it were complete. This very frame then counts as
+        // valid data past the damage. (A damaged first frame needs no flag
+        // here: the torn-vs-corrupt classification above applies.)
+        SegmentDiagnostic gap;
+        gap.seq = 0;
+        gap.state = SegmentDiagnostic::State::kLost;
+        gap.detail = "log head missing (first surviving segment has seq " +
+                     std::to_string(seg.seq) + " and no checkpoint)";
+        out.diags.push_back(std::move(gap));
+        out.bad = true;
+        out.lost_segment = true;
       }
       ++out.frames_scanned;
       if (out.bad) {
@@ -172,81 +163,117 @@ ScanResult ScanSegments(const std::vector<SegView>& segs) {
   return out;
 }
 
-/// Fate analysis + redo over an already-decoded record prefix, on top of an
-/// optional checkpoint base. This is PR 2's recovery semantics verbatim; the
-/// framing layer above only decides which records reach this point.
-void ReplayRecords(const std::vector<WalRecord>& log, const ValueVector& initial,
-                   const WalCheckpoint* base, RecoveryResult* result) {
-  enum class Fate : uint8_t { kPending, kCommitted, kLost };
-  std::vector<Fate> fate(log.size(), Fate::kLost);
-  std::map<int, std::vector<size_t>> pending;  ///< writer -> append indices.
-  std::vector<int> committed_writers;          ///< In commit order.
-  std::map<int, RecoveredTx> payloads;
-  /// Durable installs per writer (fallback writes for payload-less users).
-  std::map<int, std::vector<std::pair<EntityId, Value>>> committed_appends;
-  /// Idempotency tokens staged per writer; bound at the writer's kCommit.
-  std::map<int, uint64_t> staged_tokens;
-  std::map<int, uint64_t> committed_tokens;
-  for (size_t i = 0; i < log.size(); ++i) {
-    const WalRecord& record = log[i];
-    switch (record.kind) {
-      case WalRecord::Kind::kAppend:
-        fate[i] = Fate::kPending;
-        pending[record.writer].push_back(i);
-        break;
-      case WalRecord::Kind::kCommit: {
-        for (size_t idx : pending[record.writer]) {
-          fate[idx] = Fate::kCommitted;
-          committed_appends[record.writer].push_back(
-              {log[idx].entity, log[idx].value});
+constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+/// The record-fate pass: the one walk that knows how each WalRecord::Kind
+/// settles a writer's records. A writer's appends, payload and token stay
+/// open until its kCommit commits them (binding the payload and token to
+/// that commit), or its kRollback, a kCrash marker or Kill() makes them
+/// dead; a newer payload or token supersedes (kills) the open one. Recovery,
+/// the checkpoint carry and compaction's dead-record elimination all read
+/// their answers off this pass. It holds record indices, never copies.
+class FatePass {
+ public:
+  enum class Fate : uint8_t { kDead, kOpen, kCommitted };
+
+  /// One writer's records since it last resolved.
+  struct Open {
+    std::vector<size_t> appends;
+    size_t payload = kNone;
+    size_t token = kNone;
+  };
+
+  explicit FatePass(const std::vector<WalRecord>& records)
+      : records_(records), fate_(records.size(), Fate::kDead) {}
+
+  /// Walks records [from, to). `on_commit(index, open)` sees each kCommit
+  /// with its writer's open records, just before they commit.
+  template <typename OnCommit>
+  void Walk(size_t from, size_t to, OnCommit&& on_commit) {
+    for (size_t i = from; i < to; ++i) {
+      const WalRecord& record = records_[i];
+      const int writer = record.writer;
+      switch (record.kind) {
+        case WalRecord::Kind::kAppend:
+          fate_[i] = Fate::kOpen;
+          open_[writer].appends.push_back(i);
+          break;
+        case WalRecord::Kind::kTxPayload:
+          Supersede(&open_[writer].payload, i);
+          break;
+        case WalRecord::Kind::kCommitToken:
+          Supersede(&open_[writer].token, i);
+          break;
+        case WalRecord::Kind::kCommit: {
+          fate_[i] = Fate::kCommitted;
+          Open& open = open_[writer];
+          on_commit(i, open);
+          Settle(open, Fate::kCommitted);
+          open_.erase(writer);
+          break;
         }
-        pending[record.writer].clear();
-        committed_writers.push_back(record.writer);
-        auto tok = staged_tokens.find(record.writer);
-        if (tok != staged_tokens.end()) {
-          committed_tokens[record.writer] = tok->second;
-          staged_tokens.erase(tok);
-        }
-        break;
+        case WalRecord::Kind::kRollback:
+          Kill([writer](int w) { return w == writer; });
+          break;
+        case WalRecord::Kind::kCrash:
+          Kill([](int) { return true; });
+          break;
       }
-      case WalRecord::Kind::kRollback: {
-        for (size_t idx : pending[record.writer]) fate[idx] = Fate::kLost;
-        pending[record.writer].clear();
-        staged_tokens.erase(record.writer);
-        break;
-      }
-      case WalRecord::Kind::kTxPayload: {
-        RecoveredTx& tx = payloads[record.writer];
-        tx.tx = record.writer;
-        tx.name = record.name;
-        tx.input_state = record.input_state;
-        tx.feeders = record.feeders;
-        tx.writes = record.writes;
-        break;
-      }
-      case WalRecord::Kind::kCommitToken:
-        staged_tokens[record.writer] = record.token;
-        break;
-      case WalRecord::Kind::kCrash: {
-        for (auto& [writer, indices] : pending) {
-          for (size_t idx : indices) fate[idx] = Fate::kLost;
-          indices.clear();
-        }
-        // A token staged by a writer that never committed dies with the
-        // crash, exactly like its pending appends.
-        staged_tokens.clear();
-        break;
-      }
+      if (open_.empty()) last_quiet_ = i + 1;
     }
   }
-  for (auto& [writer, indices] : pending) {
-    for (size_t idx : indices) fate[idx] = Fate::kLost;
+  void Walk(size_t from, size_t to) {
+    Walk(from, to, [](size_t, const Open&) {});
   }
 
-  // Redo: checkpoint base first (already committed state, in original chain
-  // order), then committed installs in log order, then one bulk commit —
-  // every replayed version is committed by construction, so the O(versions)
-  // sweep replaces per-writer CommitWriter scans.
+  /// Kills the open records of every writer for which `dies(writer)` holds.
+  template <typename Pred>
+  void Kill(Pred dies) {
+    for (auto it = open_.begin(); it != open_.end();) {
+      if (!dies(it->first)) {
+        ++it;
+        continue;
+      }
+      Settle(it->second, Fate::kDead);
+      it = open_.erase(it);
+    }
+  }
+
+  Fate fate(size_t i) const { return fate_[i]; }
+  /// Writers with open records, by writer id.
+  const std::map<int, Open>& open() const { return open_; }
+  /// The last point walked at which no writer had an open record (a record
+  /// index: everything before it is settled).
+  size_t last_quiet() const { return last_quiet_; }
+
+ private:
+  void Supersede(size_t* slot, size_t i) {
+    if (*slot != kNone) fate_[*slot] = Fate::kDead;
+    *slot = i;
+    fate_[i] = Fate::kOpen;
+  }
+
+  void Settle(const Open& open, Fate fate) {
+    for (size_t i : open.appends) fate_[i] = fate;
+    if (open.payload != kNone) fate_[open.payload] = fate;
+    if (open.token != kNone) fate_[open.token] = fate;
+  }
+
+  const std::vector<WalRecord>& records_;
+  std::vector<Fate> fate_;
+  std::map<int, Open> open_;
+  size_t last_quiet_ = 0;
+};
+
+/// Redo of records [0, end) on top of an optional checkpoint base: the
+/// base's chains first (already committed, in original chain order), then
+/// the committed appends in log order, then one bulk commit — every
+/// replayed version is committed by construction, so the O(versions) sweep
+/// replaces per-writer CommitWriter scans. The base's committed list is
+/// moved into the result, not copied.
+void ReplayRecords(const std::vector<WalRecord>& log, size_t end,
+                   const ValueVector& initial, WalCheckpoint* base,
+                   RecoveryResult* result) {
   result->store = std::make_shared<VersionStore>(initial);
   if (base != nullptr) {
     for (size_t e = 0; e < base->chains.size(); ++e) {
@@ -255,11 +282,33 @@ void ReplayRecords(const std::vector<WalRecord>& log, const ValueVector& initial
         result->store->Append(static_cast<EntityId>(e), value, writer);
       }
     }
-    result->committed = base->committed;
+    result->committed = std::move(base->committed);
   }
-  for (size_t i = 0; i < log.size(); ++i) {
+  FatePass pass(log);
+  pass.Walk(0, end, [&](size_t commit, const FatePass::Open& open) {
+    RecoveredTx tx;
+    if (open.payload != kNone) {
+      const WalRecord& payload = log[open.payload];
+      tx.name = payload.name;
+      tx.input_state = payload.input_state;
+      tx.feeders = payload.feeders;
+      tx.writes = payload.writes;
+    } else {
+      // The engine logs the payload strictly before the commit marker;
+      // store-only users (tests driving CommitWriter directly) get one
+      // synthesized from the commit's appends.
+      tx.input_state = initial;
+      for (size_t i : open.appends) {
+        tx.writes.emplace_back(log[i].entity, log[i].value);
+      }
+    }
+    tx.tx = log[commit].writer;
+    if (open.token != kNone) tx.commit_token = log[open.token].token;
+    result->committed.push_back(std::move(tx));
+  });
+  for (size_t i = 0; i < end; ++i) {
     if (log[i].kind != WalRecord::Kind::kAppend) continue;
-    if (fate[i] == Fate::kCommitted) {
+    if (pass.fate(i) == FatePass::Fate::kCommitted) {
       result->store->Append(log[i].entity, log[i].value, log[i].writer);
       ++result->replayed_appends;
     } else {
@@ -267,23 +316,24 @@ void ReplayRecords(const std::vector<WalRecord>& log, const ValueVector& initial
     }
   }
   result->store->MarkAllCommitted();
-  for (int writer : committed_writers) {
-    auto it = payloads.find(writer);
-    // The engine logs the payload strictly before the commit marker, so a
-    // committed writer always has one; tolerate store-only users (tests
-    // driving CommitWriter directly) by synthesizing an empty payload.
-    RecoveredTx tx;
-    if (it != payloads.end()) {
-      tx = it->second;
-    } else {
-      tx.tx = writer;
-      tx.input_state = initial;
-      tx.writes = committed_appends[writer];
-    }
-    auto tok = committed_tokens.find(writer);
-    if (tok != committed_tokens.end()) tx.commit_token = tok->second;
-    result->committed.push_back(std::move(tx));
+}
+
+/// The checkpoint of a recovered state: its committed transactions, and
+/// the committed live versions of every chain beyond the initial one, in
+/// chain order.
+WalCheckpoint CheckpointOf(RecoveryResult state, size_t entities) {
+  WalCheckpoint checkpoint;
+  checkpoint.committed = std::move(state.committed);
+  checkpoint.chains.resize(entities);
+  if (state.store == nullptr) return checkpoint;
+  for (size_t e = 0; e < entities; ++e) {
+    state.store->ForEachVersion(
+        static_cast<EntityId>(e), [&](const Version& v, int) {
+          if (v.writer == kInitialWriter || v.dead || !v.committed) return;
+          checkpoint.chains[e].emplace_back(v.writer, v.value);
+        });
   }
+  return checkpoint;
 }
 
 WalRecord MakeRecord(WalRecord::Kind kind, int writer) {
@@ -301,34 +351,23 @@ void WriteAheadLog::LogAppend(EntityId entity, Value value, int writer) {
   WalRecord record = MakeRecord(WalRecord::Kind::kAppend, writer);
   record.entity = entity;
   record.value = value;
-  std::string frame;
-  wal_format::AppendRecordFrame(record, &frame);
-  SubmitFrame(std::move(frame), /*is_record=*/true, /*is_commit=*/false);
+  SubmitRecord(record);
 }
 
 WalCommitHandle WriteAheadLog::LogCommit(int writer) {
-  std::string frame;
-  wal_format::AppendRecordFrame(MakeRecord(WalRecord::Kind::kCommit, writer),
-                                &frame);
   WalCommitHandle handle;
-  handle.state_ =
-      SubmitFrame(std::move(frame), /*is_record=*/true, /*is_commit=*/true);
+  handle.state_ = SubmitRecord(MakeRecord(WalRecord::Kind::kCommit, writer));
   return handle;
 }
 
 void WriteAheadLog::LogRollback(int writer) {
-  std::string frame;
-  wal_format::AppendRecordFrame(MakeRecord(WalRecord::Kind::kRollback, writer),
-                                &frame);
-  SubmitFrame(std::move(frame), /*is_record=*/true, /*is_commit=*/false);
+  SubmitRecord(MakeRecord(WalRecord::Kind::kRollback, writer));
 }
 
 void WriteAheadLog::LogCommitToken(int writer, uint64_t token) {
   WalRecord record = MakeRecord(WalRecord::Kind::kCommitToken, writer);
   record.token = token;
-  std::string frame;
-  wal_format::AppendRecordFrame(record, &frame);
-  SubmitFrame(std::move(frame), /*is_record=*/true, /*is_commit=*/false);
+  SubmitRecord(record);
 }
 
 void WriteAheadLog::LogTxPayload(int writer, std::string name,
@@ -340,9 +379,7 @@ void WriteAheadLog::LogTxPayload(int writer, std::string name,
   record.input_state = std::move(input_state);
   record.feeders = std::move(feeders);
   record.writes = std::move(writes);
-  std::string frame;
-  wal_format::AppendRecordFrame(record, &frame);
-  SubmitFrame(std::move(frame), /*is_record=*/true, /*is_commit=*/false);
+  SubmitRecord(record);
 }
 
 void WriteAheadLog::LogCrashMarker() {
@@ -377,7 +414,10 @@ void WriteAheadLog::LogCrashMarker() {
   // clean frame sequence.
   media_failed_ = false;
   RepairTailLocked();
-  AppendRecordLocked(MakeRecord(WalRecord::Kind::kCrash, -1));
+  std::string frame;
+  wal_format::AppendRecordFrame(MakeRecord(WalRecord::Kind::kCrash, -1),
+                                &frame);
+  WriteFrameLocked(frame);
 }
 
 bool WriteAheadLog::WaitDurable(const WalCommitHandle& handle) const {
@@ -391,39 +431,30 @@ bool WriteAheadLog::WaitDurable(const WalCommitHandle& handle) const {
   return state->ok;
 }
 
-std::shared_ptr<WalCommitHandle::AckState> WriteAheadLog::SubmitFrame(
-    std::string frame, bool is_record, bool is_commit) {
+std::shared_ptr<WalCommitHandle::AckState> WriteAheadLog::SubmitRecord(
+    const WalRecord& record) {
+  std::string frame;
+  wal_format::AppendRecordFrame(record, &frame);
   std::shared_ptr<WalCommitHandle::AckState> ack;
+  const bool is_commit = record.kind == WalRecord::Kind::kCommit;
   if (is_commit) ack = std::make_shared<WalCommitHandle::AckState>();
   {
     std::lock_guard<std::mutex> stage_lock(stage_mu_);
     if (group_enabled_) {
-      StagedFrame staged;
-      staged.bytes = std::move(frame);
-      staged.is_record = is_record;
-      staged.ack = ack;
-      staging_.push_back(std::move(staged));
+      staging_.push_back({std::move(frame), ack});
       ++staged_seq_;
       stage_cv_.notify_one();
       return ack;
     }
   }
-  // Sync mode: write through under the log mutex, paying the device flush
-  // inline per commit record — the single-global-lock baseline that group
-  // commit exists to beat.
+  // Sync mode: the frame is a one-frame chunk written through under the
+  // log mutex, paying the device flush inline per commit record — the
+  // single-global-lock baseline that group commit exists to beat.
   bool ok = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (media_failed_) {
-      if (is_record) ++stats_.dropped_records;
-    } else {
-      ok = AppendFrameLocked(frame, is_record);
-      if (ok && is_record) {
-        ++stats_.records;
-        ++stats_.total_records;
-      }
-      if (ok && is_commit) DeviceFlushLocked();
-    }
+    ok = WriteFrameLocked(frame);
+    if (ok && is_commit) DeviceFlushLocked();
   }
   if (ack != nullptr) {
     std::lock_guard<std::mutex> stage_lock(stage_mu_);
@@ -518,7 +549,7 @@ void WriteAheadLog::WriterLoop() {
       });
       if (staging_.empty() && writer_stop_) {
         // Flip the mode flag before exiting so no frame can be staged with
-        // nobody left to flush it: the next SubmitFrame goes sync.
+        // nobody left to flush it: the next SubmitRecord goes sync.
         group_enabled_ = false;
         return;
       }
@@ -543,7 +574,7 @@ void WriteAheadLog::FlushBatch(std::vector<StagedFrame> batch) {
   // may therefore tear or swallow many frames at once).
   struct Chunk {
     std::string bytes;
-    std::vector<size_t> record_ends;  ///< Offset just past each record frame.
+    std::vector<size_t> frame_ends;  ///< Offset just past each frame.
   };
   std::vector<Chunk> chunks;
   int64_t commits = 0;
@@ -560,7 +591,7 @@ void WriteAheadLog::FlushBatch(std::vector<StagedFrame> batch) {
     }
     Chunk& chunk = chunks.back();
     chunk.bytes.append(frame.bytes);
-    if (frame.is_record) chunk.record_ends.push_back(chunk.bytes.size());
+    chunk.frame_ends.push_back(chunk.bytes.size());
   }
 
   // All-or-nothing acks: a media fault on ANY chunk fails every commit ack
@@ -571,13 +602,12 @@ void WriteAheadLog::FlushBatch(std::vector<StagedFrame> batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Chunk& chunk : chunks) {
-      if (media_failed_) {
-        stats_.dropped_records +=
-            static_cast<int64_t>(chunk.record_ends.size());
+      // A batch counts the frames a faulting write failed to land as
+      // dropped records.
+      if (!AppendChunkLocked(chunk.bytes, chunk.frame_ends,
+                             &stats_.dropped_records)) {
         ok = false;
-        continue;
       }
-      if (!AppendChunkLocked(chunk.bytes, chunk.record_ends)) ok = false;
     }
     if (ok) DeviceFlushLocked();
     ++stats_.group_commit_batches;
@@ -622,68 +652,18 @@ void WriteAheadLog::DeviceFlushLocked() {
   }
 }
 
-void WriteAheadLog::AppendRecordLocked(const WalRecord& record) {
-  if (media_failed_) {
-    ++stats_.dropped_records;
-    return;
-  }
-  std::string frame;
-  wal_format::AppendRecordFrame(record, &frame);
-  if (AppendFrameLocked(frame, /*is_record=*/true)) {
-    ++stats_.records;
-    ++stats_.total_records;
-  }
-}
-
-bool WriteAheadLog::AppendFrameLocked(const std::string& frame, bool is_record) {
-  FailpointRegistry& registry = FailpointRegistry::Global();
-  if (NONSERIAL_FAILPOINT("wal.write_error")) {
-    ++stats_.write_errors;
-    media_failed_ = true;
-    return false;
-  }
-  if (segments_.empty() || segments_.back().lost ||
-      (!segments_.back().bytes.empty() &&
-       segments_.back().bytes.size() + frame.size() > segment_bytes_)) {
-    SealActiveSegmentLocked();
-    Segment fresh;
-    fresh.seq = next_segment_seq_++;
-    segments_.push_back(std::move(fresh));
-  }
-  Segment& seg = segments_.back();
-  if (NONSERIAL_FAILPOINT("wal.torn_tail")) {
-    // A strict nonzero prefix of the frame reaches the medium, then the
-    // device dies: the classic torn write.
-    size_t keep = 1 + static_cast<size_t>(registry.DrawBits() % (frame.size() - 1));
-    seg.bytes.append(frame.data(), keep);
-    stats_.bytes += static_cast<int64_t>(keep);
-    ++stats_.torn_writes;
-    media_failed_ = true;
-    return false;
-  }
-  size_t start = seg.bytes.size();
-  seg.bytes.append(frame);
-  stats_.bytes += static_cast<int64_t>(frame.size());
-  if (is_record) ++seg.frames;
-  if (NONSERIAL_FAILPOINT("wal.bit_flip")) {
-    // Silent corruption: the write "succeeds" (the writer counts it durable)
-    // but one byte of the frame lands wrong. Offset and bit come from the
-    // deterministic fault stream.
-    uint64_t bits = registry.DrawBits();
-    size_t offset = start + static_cast<size_t>(bits % frame.size());
-    seg.bytes[offset] ^= static_cast<char>(1u << ((bits >> 32) % 8));
-    ++stats_.bit_flips;
-  }
-  return true;
-}
-
 bool WriteAheadLog::AppendChunkLocked(const std::string& chunk,
-                                      const std::vector<size_t>& record_ends) {
+                                      std::span<const size_t> frame_ends,
+                                      int64_t* lost_to) {
+  const int64_t frames = static_cast<int64_t>(frame_ends.size());
+  if (media_failed_) {
+    stats_.dropped_records += frames;
+    return false;
+  }
   FailpointRegistry& registry = FailpointRegistry::Global();
-  const int64_t records = static_cast<int64_t>(record_ends.size());
   if (NONSERIAL_FAILPOINT("wal.write_error")) {
     ++stats_.write_errors;
-    stats_.dropped_records += records;
+    if (lost_to != nullptr) *lost_to += frames;
     media_failed_ = true;
     return false;
   }
@@ -696,42 +676,45 @@ bool WriteAheadLog::AppendChunkLocked(const std::string& chunk,
     segments_.push_back(std::move(fresh));
   }
   Segment& seg = segments_.back();
-  if (NONSERIAL_FAILPOINT("wal.torn_tail")) {
+  const size_t start = seg.bytes.size();
+  size_t written = chunk.size();
+  int64_t landed = frames;
+  const bool torn = NONSERIAL_FAILPOINT("wal.torn_tail");
+  if (torn) {
     // A strict nonzero prefix of the chunk reaches the medium, then the
-    // device dies — a torn write can now truncate most of a batch. Frames
-    // that landed whole in the prefix ARE durable; the partial one is the
-    // torn tail recovery truncates.
-    const size_t keep =
+    // device dies — a torn write can truncate most of a batch. Frames that
+    // landed whole in the prefix ARE durable; the partial one is the torn
+    // tail recovery truncates.
+    written =
         1 + static_cast<size_t>(registry.DrawBits() % (chunk.size() - 1));
-    seg.bytes.append(chunk.data(), keep);
-    stats_.bytes += static_cast<int64_t>(keep);
-    int64_t durable = 0;
-    for (size_t end : record_ends) {
-      if (end <= keep) ++durable;
-    }
-    seg.frames += durable;
-    stats_.records += durable;
-    stats_.total_records += durable;
-    stats_.dropped_records += records - durable;
+    landed = std::count_if(frame_ends.begin(), frame_ends.end(),
+                           [written](size_t end) { return end <= written; });
     ++stats_.torn_writes;
     media_failed_ = true;
-    return false;
+    if (lost_to != nullptr) *lost_to += frames - landed;
   }
-  const size_t start = seg.bytes.size();
-  seg.bytes.append(chunk);
-  stats_.bytes += static_cast<int64_t>(chunk.size());
-  seg.frames += records;
-  stats_.records += records;
-  stats_.total_records += records;
+  seg.bytes.append(chunk.data(), written);
+  stats_.bytes += static_cast<int64_t>(written);
+  seg.frames += landed;
+  stats_.records += landed;
+  stats_.total_records += landed;
+  if (torn) return false;
   if (NONSERIAL_FAILPOINT("wal.bit_flip")) {
-    // Silent corruption: the chunk "succeeds" (the batch still acks) but
-    // one byte lands wrong — recovery's scan is the only detector.
+    // Silent corruption: the write "succeeds" (its commits still ack) but
+    // one byte lands wrong — recovery's scan is the only detector. Offset
+    // and bit come from the deterministic fault stream.
     const uint64_t bits = registry.DrawBits();
     const size_t offset = start + static_cast<size_t>(bits % chunk.size());
     seg.bytes[offset] ^= static_cast<char>(1u << ((bits >> 32) % 8));
     ++stats_.bit_flips;
   }
   return true;
+}
+
+bool WriteAheadLog::WriteFrameLocked(const std::string& frame) {
+  const size_t end = frame.size();
+  return AppendChunkLocked(frame, std::span<const size_t>(&end, 1),
+                           /*lost_to=*/nullptr);
 }
 
 void WriteAheadLog::SealActiveSegmentLocked() {
@@ -928,12 +911,7 @@ RecoveryResult WriteAheadLog::Recover(const RecoveryOptions& options) const {
     std::lock_guard<std::mutex> lock(mu_);
     owned = segments_;
   }
-  std::vector<SegView> views;
-  views.reserve(owned.size());
-  for (const Segment& seg : owned) {
-    views.push_back({seg.seq, &seg.bytes, seg.lost});
-  }
-  ScanResult scan = ScanSegments(views);
+  ScanResult scan = ScanSegments(owned);
 
   RecoveryResult result;
   result.frames_scanned = scan.frames_scanned;
@@ -945,17 +923,17 @@ RecoveryResult WriteAheadLog::Recover(const RecoveryOptions& options) const {
   }
   result.segments = std::move(scan.diags);
 
-  std::vector<WalRecord> log = std::move(scan.records);
-  result.image_records = static_cast<int64_t>(log.size());
-  if (options.prefix_records < log.size()) log.resize(options.prefix_records);
-  result.replayed_records = static_cast<int64_t>(log.size());
-  ReplayRecords(log, initial_, scan.has_checkpoint ? &scan.checkpoint : nullptr,
-                &result);
+  const size_t replayed =
+      std::min(options.prefix_records, scan.records.size());
+  result.image_records = static_cast<int64_t>(scan.records.size());
+  result.replayed_records = static_cast<int64_t>(replayed);
+  ReplayRecords(scan.records, replayed, initial_,
+                scan.has_checkpoint ? &scan.checkpoint : nullptr, &result);
 
   if (result.corruption_detected) {
     if (options.best_effort) {
       result.salvaged = true;
-      result.frames_salvaged = static_cast<int64_t>(log.size());
+      result.frames_salvaged = static_cast<int64_t>(replayed);
     } else {
       result.status = Status::Internal(
           "mid-log corruption: valid data exists past an undecodable point "
@@ -976,262 +954,103 @@ Status WriteAheadLog::Checkpoint() {
     return Status::FailedPrecondition(
         "checkpoint refused: the medium has a sticky write failure");
   }
-  std::vector<SegView> views;
-  views.reserve(segments_.size());
-  for (const Segment& seg : segments_) {
-    views.push_back({seg.seq, &seg.bytes, seg.lost});
-  }
-  ScanResult scan = ScanSegments(views);
-  if (scan.bad || scan.lost_segment) {
+  return CompactLocked(nullptr);
+}
+
+int64_t WriteAheadLog::CompactTo(const RecoveryResult& recovered) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t reclaimed = static_cast<int64_t>(segments_.size());
+  CompactLocked(&recovered);
+  // The recovered state is the new durable truth; a crash-recovery
+  // compaction also stands in for the medium swap a restart performs.
+  media_failed_ = false;
+  return reclaimed;
+}
+
+Status WriteAheadLog::CompactLocked(const RecoveryResult* recovered) {
+  // One consistent view: the live image, scanned under the lock, so nothing
+  // the checkpoint does not absorb is compacted away.
+  ScanResult scan = ScanSegments(segments_);
+  const std::vector<WalRecord>& records = scan.records;
+  const bool damaged = scan.bad || scan.lost_segment;
+  if (damaged && recovered == nullptr) {
     // Checkpointing a damaged log would launder the corruption into a
     // "clean" checkpoint; refuse and leave the image for Recover to report.
     return Status::Internal("checkpoint refused: log image is damaged");
   }
 
-  RecoveryResult replayed;
-  ReplayRecords(scan.records, initial_,
-                scan.has_checkpoint ? &scan.checkpoint : nullptr, &replayed);
-
-  WalCheckpoint checkpoint;
-  checkpoint.committed = std::move(replayed.committed);
-  checkpoint.chains.resize(initial_.size());
-  for (size_t e = 0; e < initial_.size(); ++e) {
-    replayed.store->ForEachVersion(
-        static_cast<EntityId>(e), [&](const Version& v, int) {
-          if (v.writer == kInitialWriter || v.dead || !v.committed) return;
-          checkpoint.chains[e].emplace_back(v.writer, v.value);
-        });
+  // The image splits at the recovery pass's boundaries: its state covers
+  // records [0, replayed); [replayed, image) were cut by its crash-point
+  // simulation and stay cut; [image, end) landed after its scan (a live
+  // committer racing the compaction). A live checkpoint covers it all.
+  size_t replayed = records.size();
+  size_t image = records.size();
+  if (recovered != nullptr) {
+    auto clamp = [&records](int64_t n) {
+      return std::min(records.size(),
+                      static_cast<size_t>(std::max<int64_t>(n, 0)));
+    };
+    replayed = clamp(recovered->replayed_records);
+    image = std::max(replayed, clamp(recovered->image_records));
   }
 
-  // Carry forward what the checkpoint cannot absorb: appends still pending
-  // at the end of the log, and the latest payload of each writer that has
-  // not yet resolved (its commit may land after the checkpoint). Commit /
-  // rollback / crash markers are consumed by the analysis above.
-  std::map<int, std::vector<size_t>> pending;
-  std::map<int, size_t> payload_at;
-  std::map<int, size_t> token_at;
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    const WalRecord& r = scan.records[i];
-    switch (r.kind) {
-      case WalRecord::Kind::kAppend:
-        pending[r.writer].push_back(i);
-        break;
-      case WalRecord::Kind::kCommit:
-      case WalRecord::Kind::kRollback:
-        pending[r.writer].clear();
-        payload_at.erase(r.writer);
-        token_at.erase(r.writer);
-        break;
-      case WalRecord::Kind::kTxPayload:
-        payload_at[r.writer] = i;
-        break;
-      case WalRecord::Kind::kCommitToken:
-        token_at[r.writer] = i;
-        break;
-      case WalRecord::Kind::kCrash:
-        pending.clear();
-        payload_at.clear();
-        token_at.clear();
-        break;
+  // Writers open at `replayed` are carried forward: all of them for a live
+  // checkpoint; for CompactTo, those with a record in the suffix, whose
+  // kCommit must commit the writer's full write set. For the rest, the
+  // recovered state is the truth: their in-flight work dies with the
+  // compacted history. A damaged image carries nothing: the suffix past
+  // the damage is discarded with the history, and its writers belong to an
+  // epoch the damage ended.
+  std::set<int> suffix_writers;
+  for (size_t i = image; i < records.size(); ++i) {
+    if (records[i].kind != WalRecord::Kind::kCrash) {
+      suffix_writers.insert(records[i].writer);
     }
   }
-  std::set<size_t> carry;
-  for (const auto& [writer, indices] : pending) {
-    carry.insert(indices.begin(), indices.end());
-  }
-  for (const auto& [writer, index] : payload_at) carry.insert(index);
-  for (const auto& [writer, index] : token_at) carry.insert(index);
+  auto carried = [&](int writer) {
+    return !damaged &&
+           (recovered == nullptr || suffix_writers.contains(writer));
+  };
+  FatePass pass(records);
+  pass.Walk(0, replayed);
+  bool carries = false;
+  for (const auto& [writer, open] : pass.open()) carries |= carried(writer);
+  // The cut: a carried writer's appends precede versions other writers
+  // committed after them, so the checkpoint stops at the last point where
+  // no writer was open — at or before the first carried record — and every
+  // later record is carried in log order. Chains keep their log order.
+  const size_t cut = carries ? pass.last_quiet() : replayed;
+  pass.Kill([&](int writer) { return !carried(writer); });
+  if (!damaged) pass.Walk(image, records.size());
 
+  WalCheckpoint checkpoint;
+  if (recovered != nullptr && cut == replayed) {
+    checkpoint = CheckpointOf(*recovered, initial_.size());
+  } else {
+    RecoveryResult state;
+    ReplayRecords(records, cut, initial_,
+                  scan.has_checkpoint ? &scan.checkpoint : nullptr, &state);
+    checkpoint = CheckpointOf(std::move(state), initial_.size());
+  }
+
+  // Dead-record elimination: appends, payloads and tokens a rollback, crash
+  // marker or newer record killed are dead forever, and once they drop the
+  // kRollback/kCrash records fence nothing and drop too (this keeps a
+  // post-crash compaction at zero records). Commits always stay.
   std::string frames;
   wal_format::AppendCheckpointFrame(checkpoint, &frames);
-  for (size_t index : carry) {
-    wal_format::AppendRecordFrame(scan.records[index], &frames);
-  }
-  ResetSegmentsLocked(std::move(frames), static_cast<int64_t>(carry.size()));
+  int64_t kept = 0;
+  auto carry = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      if (pass.fate(i) == FatePass::Fate::kDead) continue;
+      wal_format::AppendRecordFrame(records[i], &frames);
+      ++kept;
+    }
+  };
+  carry(cut, replayed);
+  carry(image, records.size());
+  ResetSegmentsLocked(std::move(frames), kept);
   return Status::OK();
-}
-
-int64_t WriteAheadLog::CompactTo(const RecoveryResult& recovered) {
-  WalCheckpoint checkpoint;
-  checkpoint.committed = recovered.committed;
-  checkpoint.chains.resize(initial_.size());
-  if (recovered.store != nullptr) {
-    for (size_t e = 0; e < initial_.size(); ++e) {
-      recovered.store->ForEachVersion(
-          static_cast<EntityId>(e), [&](const Version& v, int) {
-            if (v.writer == kInitialWriter || v.dead || !v.committed) return;
-            checkpoint.chains[e].emplace_back(v.writer, v.value);
-          });
-    }
-  }
-  std::string frames;
-  wal_format::AppendCheckpointFrame(checkpoint, &frames);
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t reclaimed = static_cast<int64_t>(segments_.size());
-
-  // Consistent view: `recovered` describes the image as it was when the
-  // recovery pass scanned it, but commits may have landed since (a live
-  // committer racing the compaction). Re-scan the live image UNDER the
-  // lock and split it at the recovery's boundaries, so nothing the
-  // checkpoint doesn't absorb is compacted away.
-  std::vector<SegView> views;
-  views.reserve(segments_.size());
-  for (const Segment& seg : segments_) {
-    views.push_back({seg.seq, &seg.bytes, seg.lost});
-  }
-  ScanResult scan = ScanSegments(views);
-  const size_t replayed = std::min(
-      scan.records.size(),
-      static_cast<size_t>(std::max<int64_t>(recovered.replayed_records, 0)));
-  const size_t image = std::min(
-      scan.records.size(),
-      static_cast<size_t>(std::max<int64_t>(recovered.image_records,
-                                            recovered.replayed_records)));
-  const bool damaged = scan.bad || scan.lost_segment;
-
-  // Stage 1 — tentative carry. (a) The records the recovery pass never saw
-  // (they landed after its scan), verbatim. (b) For each writer with such
-  // a suffix record, its appends still pending and payload still
-  // unresolved at the end of the replayed prefix: a suffix kCommit must
-  // commit the writer's FULL write set, not just the appends that happened
-  // to land post-scan. Writers with no suffix record keep the PR 5
-  // contract — their in-flight work dies with the compacted history (the
-  // recovered state is the new durable truth). A damaged image drops the
-  // carry entirely: the suffix past the damage is discarded with the
-  // history, and its pending writers belong to an epoch the damage ended.
-  // Records in [replayed, image) were deliberately cut by the crash-point
-  // simulation and stay cut.
-  std::vector<WalRecord> tentative;
-  if (!damaged) {
-    std::set<int> suffix_writers;
-    for (size_t i = image; i < scan.records.size(); ++i) {
-      if (scan.records[i].kind != WalRecord::Kind::kCrash) {
-        suffix_writers.insert(scan.records[i].writer);
-      }
-    }
-    std::map<int, std::vector<size_t>> pending;
-    std::map<int, size_t> payload_at;
-    std::map<int, size_t> token_at;
-    for (size_t i = 0; i < replayed; ++i) {
-      const WalRecord& r = scan.records[i];
-      switch (r.kind) {
-        case WalRecord::Kind::kAppend:
-          pending[r.writer].push_back(i);
-          break;
-        case WalRecord::Kind::kCommit:
-        case WalRecord::Kind::kRollback:
-          pending[r.writer].clear();
-          payload_at.erase(r.writer);
-          token_at.erase(r.writer);
-          break;
-        case WalRecord::Kind::kTxPayload:
-          payload_at[r.writer] = i;
-          break;
-        case WalRecord::Kind::kCommitToken:
-          token_at[r.writer] = i;
-          break;
-        case WalRecord::Kind::kCrash:
-          pending.clear();
-          payload_at.clear();
-          token_at.clear();
-          break;
-      }
-    }
-    std::set<size_t> carry;
-    for (const auto& [writer, indices] : pending) {
-      if (!suffix_writers.contains(writer)) continue;
-      carry.insert(indices.begin(), indices.end());
-    }
-    for (const auto& [writer, index] : payload_at) {
-      if (suffix_writers.contains(writer)) carry.insert(index);
-    }
-    for (const auto& [writer, index] : token_at) {
-      if (suffix_writers.contains(writer)) carry.insert(index);
-    }
-    for (size_t index : carry) tentative.push_back(scan.records[index]);
-    for (size_t i = image; i < scan.records.size(); ++i) {
-      tentative.push_back(scan.records[i]);
-    }
-  }
-
-  // Stage 2 — dead-record elimination. A suffix kCommit needs its writer's
-  // carried appends/payload; but appends killed by a rollback or crash
-  // marker within the carried sequence are dead forever, and once they are
-  // dropped the kRollback/kCrash records fence nothing and drop too (this
-  // is what keeps a post-crash compaction at zero records instead of
-  // carrying `pending appends + the crash marker that kills them`).
-  std::vector<bool> keep(tentative.size(), true);
-  {
-    std::map<int, std::vector<size_t>> pending;
-    std::map<int, size_t> payload_at;
-    std::map<int, size_t> token_at;
-    for (size_t i = 0; i < tentative.size(); ++i) {
-      const WalRecord& r = tentative[i];
-      switch (r.kind) {
-        case WalRecord::Kind::kAppend:
-          pending[r.writer].push_back(i);
-          break;
-        case WalRecord::Kind::kCommit:
-          // Commits always stay: their effect is not in the checkpoint.
-          pending[r.writer].clear();
-          payload_at.erase(r.writer);
-          token_at.erase(r.writer);
-          break;
-        case WalRecord::Kind::kRollback: {
-          for (size_t idx : pending[r.writer]) keep[idx] = false;
-          pending[r.writer].clear();
-          auto it = payload_at.find(r.writer);
-          if (it != payload_at.end()) {
-            keep[it->second] = false;
-            payload_at.erase(it);
-          }
-          auto tok = token_at.find(r.writer);
-          if (tok != token_at.end()) {
-            keep[tok->second] = false;
-            token_at.erase(tok);
-          }
-          keep[i] = false;
-          break;
-        }
-        case WalRecord::Kind::kTxPayload: {
-          auto it = payload_at.find(r.writer);
-          if (it != payload_at.end()) keep[it->second] = false;  // Superseded.
-          payload_at[r.writer] = i;
-          break;
-        }
-        case WalRecord::Kind::kCommitToken: {
-          auto it = token_at.find(r.writer);
-          if (it != token_at.end()) keep[it->second] = false;  // Superseded.
-          token_at[r.writer] = i;
-          break;
-        }
-        case WalRecord::Kind::kCrash: {
-          for (auto& [writer, indices] : pending) {
-            for (size_t idx : indices) keep[idx] = false;
-            indices.clear();
-          }
-          for (auto& [writer, index] : payload_at) keep[index] = false;
-          payload_at.clear();
-          for (auto& [writer, index] : token_at) keep[index] = false;
-          token_at.clear();
-          keep[i] = false;
-          break;
-        }
-      }
-    }
-  }
-  int64_t carried = 0;
-  for (size_t i = 0; i < tentative.size(); ++i) {
-    if (!keep[i]) continue;
-    wal_format::AppendRecordFrame(tentative[i], &frames);
-    ++carried;
-  }
-
-  // The recovered state is the new durable truth; a crash-recovery compaction
-  // also stands in for the medium swap a restart performs.
-  media_failed_ = false;
-  ResetSegmentsLocked(std::move(frames), carried);
-  return reclaimed;
 }
 
 void WriteAheadLog::ResetSegmentsLocked(std::string frames,

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -209,7 +210,8 @@ struct GroupCommitOptions {
 /// storage/wal_format.h). A checkpoint captures the committed state in one
 /// frame and lets every earlier segment be reclaimed, so the log stays
 /// bounded under sustained crash/recovery churn. Storage-media faults are
-/// injectable through failpoints evaluated on the append path:
+/// injectable through failpoints evaluated on the one media-write path
+/// (every write is a chunk of whole frames; see AppendChunkLocked):
 ///
 ///   wal.torn_tail     frame written partially; medium fails sticky
 ///   wal.bit_flip      one byte of the just-written frame flipped
@@ -219,10 +221,11 @@ struct GroupCommitOptions {
 /// A sticky failure swallows every later append until LogCrashMarker()
 /// (the restart point) repairs the tail and replaces the medium.
 ///
-/// Commit durability has two modes. In the default sync mode every
-/// LogCommit writes its frame and pays one simulated device flush
-/// (set_flush_us) inline, under the log mutex — the single-global-lock
-/// baseline. EnableGroupCommit starts a dedicated writer thread: loggers
+/// Commit durability has two modes over that one write path. In the
+/// default sync mode every record is written inline as a one-frame chunk
+/// under the log mutex, and every LogCommit pays one simulated device
+/// flush (set_flush_us) there — the single-global-lock baseline.
+/// EnableGroupCommit starts a dedicated writer thread: loggers
 /// stage frames into a volatile buffer and LogCommit returns a
 /// WalCommitHandle immediately; the writer drains the staging buffer in
 /// FIFO batches, appends each batch to the durable image as one write,
@@ -355,18 +358,26 @@ class WriteAheadLog {
   RecoveryResult Recover(size_t prefix_len = kWholeLog) const;
   RecoveryResult Recover(const RecoveryOptions& options) const;
 
-  /// Live checkpoint + compaction: captures the current committed state in
-  /// a checkpoint frame, carries the records of still-pending writers
-  /// forward, and reclaims everything else. Fails (and changes nothing) if
-  /// the image is corrupt — checkpointing must never launder corruption
-  /// into a "clean" log.
+  /// Live checkpoint + compaction: captures the committed state in a
+  /// checkpoint frame, carries the records of still-pending writers
+  /// forward, and reclaims everything else. When a writer is still open,
+  /// the checkpoint is cut at the last point where no writer was open and
+  /// every later record (less those proven dead) is carried in log order,
+  /// so version chains keep their log order — an open long-running writer
+  /// holds back how far the checkpoint compacts. Fails (and changes
+  /// nothing) if the image is corrupt — checkpointing must never launder
+  /// corruption into a "clean" log.
   Status Checkpoint();
 
   /// Post-recovery compaction: replaces the whole log with a checkpoint of
   /// `recovered` (the state some Recover() call of THIS log returned).
   /// Used by the chaos driver after each crash cycle: the recovered state
   /// is the new durable truth, and any corrupt or unreplayed suffix is
-  /// discarded with the history. Returns the number of segments reclaimed.
+  /// discarded with the history. Records logged after the recovery scan
+  /// are carried forward, with the open records of their writers; a
+  /// writer open at the scan with no later record dies. When a writer is
+  /// carried, the cut rule of Checkpoint() applies. Returns the number of
+  /// segments reclaimed.
   int64_t CompactTo(const RecoveryResult& recovered);
 
  private:
@@ -377,36 +388,41 @@ class WriteAheadLog {
     bool lost = false;
   };
 
-  /// One frame parked in the volatile staging buffer awaiting its batch.
+  /// One record frame parked in the volatile staging buffer awaiting its
+  /// batch.
   struct StagedFrame {
     std::string bytes;
-    bool is_record = false;
     /// Set on commit frames: the ack the batch flush resolves.
     std::shared_ptr<WalCommitHandle::AckState> ack;
   };
 
-  void AppendRecordLocked(const WalRecord& record);
-  /// Appends `frame` bytes to the active segment, sealing and rolling over
-  /// as needed. Returns false if the medium swallowed the write.
-  bool AppendFrameLocked(const std::string& frame, bool is_record);
-  /// Batch variant: one media write for a chunk of concatenated frames
-  /// (`record_ends` marks the offset past each record frame, so a torn
-  /// write can count which frames landed whole). Returns false on a media
-  /// fault — the caller fails the whole batch's acks.
+  /// The one media write: appends `chunk` — whole record frames,
+  /// `frame_ends` holding the offset just past each — to the active
+  /// segment, sealing and rolling over as needed. The wal.write_error,
+  /// wal.torn_tail and wal.bit_flip failpoints are evaluated here only. A
+  /// failed medium swallows the chunk (its frames count as dropped).
+  /// Returns false on a media fault; the frames the faulting write failed
+  /// to land whole are added to `*lost_to` when it is non-null.
   bool AppendChunkLocked(const std::string& chunk,
-                         const std::vector<size_t>& record_ends);
+                         std::span<const size_t> frame_ends, int64_t* lost_to);
+  /// A one-frame chunk (sync-mode appends and the crash marker). The fault
+  /// that fails it is counted as the fault alone, not as a dropped record.
+  bool WriteFrameLocked(const std::string& frame);
   void SealActiveSegmentLocked();
   /// Drops a torn/corrupt tail region that has no valid frames after it.
   void RepairTailLocked();
+  /// The compaction routine behind Checkpoint() (`recovered` null) and
+  /// CompactTo(): one scan of the live image, one record-fate pass over it,
+  /// a checkpoint at the cut, and the carried records behind it.
+  Status CompactLocked(const RecoveryResult* recovered);
   /// Replaces all segments with one fresh segment holding `frames`.
   void ResetSegmentsLocked(std::string frames, int64_t record_count);
   /// Busy-waits flush_us_ (the simulated storage barrier) and counts it.
   void DeviceFlushLocked();
-  /// Routes an encoded frame to the staging buffer (group mode) or the
-  /// durable image (sync mode). Returns the ack for commit frames.
-  std::shared_ptr<WalCommitHandle::AckState> SubmitFrame(std::string frame,
-                                                         bool is_record,
-                                                         bool is_commit);
+  /// Encodes `record` and routes it to the staging buffer (group mode) or
+  /// the durable image (sync mode). Returns the ack for commit records.
+  std::shared_ptr<WalCommitHandle::AckState> SubmitRecord(
+      const WalRecord& record);
   /// Dedicated writer: drains staging_ in FIFO batches and flushes each.
   void WriterLoop();
   /// Appends one batch to the image under mu_, pays one device flush, and

@@ -58,6 +58,7 @@ TEST(HistogramTest, ZeroAndLargeValues) {
   h.Record(int64_t{1} << 40);
   EXPECT_EQ(h.count(), 2);
   EXPECT_EQ(h.max(), int64_t{1} << 40);
+  EXPECT_EQ(h.ApproxPercentile(1.0), h.max());
   EXPECT_FALSE(h.ToString().empty());
 }
 

@@ -748,6 +748,56 @@ TEST(WalTest, CompactToKeepsCommitsThatLandedAfterTheRecoveryScan) {
   EXPECT_EQ(after.store->LatestCommittedSnapshot(), (ValueVector{20, 11, 0}));
 }
 
+/// Writer 1 appends e0=1 and stays pending; writer 2 then appends e0=2 and
+/// commits. Chain order is log order, so once writer 1 commits too the
+/// latest committed e0 is still writer 2's.
+struct InterleavedWriters {
+  InterleavedWriters() : wal({0}), store(wal.initial()) {
+    store.SetWal(&wal);
+    store.Append(0, 1, /*writer=*/1);
+    store.Append(0, 2, /*writer=*/2);
+    wal.LogTxPayload(2, "t2", {0}, {}, {{0, 2}});
+    store.CommitWriter(2);
+  }
+
+  void CommitWriter1() {
+    wal.LogTxPayload(1, "t1", {0}, {}, {{0, 1}});
+    store.CommitWriter(1);
+  }
+
+  /// Recovery must agree with the live store and with a full replay.
+  void ExpectChainOrderKept() const {
+    ASSERT_EQ(store.LatestCommittedSnapshot(), (ValueVector{2}));
+    RecoveryResult rec = wal.Recover();
+    ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+    EXPECT_EQ(rec.store->LatestCommittedSnapshot(), (ValueVector{2}));
+    ASSERT_EQ(rec.store->ChainSize(0), 3);
+    EXPECT_EQ(rec.store->ChainSnapshot(0)[1].writer, 1);
+    EXPECT_EQ(rec.store->ChainSnapshot(0)[2].writer, 2);
+    ASSERT_EQ(rec.committed.size(), 2u);
+    EXPECT_EQ(rec.committed[0].tx, 2);
+    EXPECT_EQ(rec.committed[1].tx, 1);
+  }
+
+  WriteAheadLog wal;
+  VersionStore store;
+};
+
+TEST(WalTest, CheckpointKeepsChainOrderUnderAPendingWriter) {
+  InterleavedWriters s;
+  ASSERT_TRUE(s.wal.Checkpoint().ok());
+  s.CommitWriter1();
+  s.ExpectChainOrderKept();
+}
+
+TEST(WalTest, CompactToKeepsChainOrderOfASuffixCommitter) {
+  InterleavedWriters s;
+  RecoveryResult scan = s.wal.Recover();
+  s.CommitWriter1();  // Lands after the scan: writer 1 is carried.
+  s.wal.CompactTo(scan);
+  s.ExpectChainOrderKept();
+}
+
 TEST(WalTest, DetachedStoreDoesNotLog) {
   WriteAheadLog wal({0});
   VersionStore store(wal.initial());
