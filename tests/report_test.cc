@@ -143,6 +143,80 @@ TEST(ReportTest, HistogramJsonShape) {
   EXPECT_NE(dump.find("\"max\":100"), std::string::npos);
 }
 
+TEST(ReportTest, FullMetricsSectionGolden) {
+  // Every member gets a distinct value, so a member rendered under the
+  // wrong key, twice, or not at all changes this string. Each histogram
+  // records one value that is its own bucket's upper bound, so the
+  // approximate percentiles are exact.
+  ProtocolMetrics m;
+  int64_t next = 1;
+  for (Counter* c :
+       {&m.lock_grants, &m.lock_blocks, &m.lock_reevals, &m.reevals,
+        &m.reassigns, &m.po_aborts, &m.cascade_aborts, &m.output_aborts,
+        &m.injected_aborts, &m.deadline_aborts, &m.validations,
+        &m.validation_fails, &m.validation_rescans, &m.validation_starved,
+        &m.cache_hits, &m.cache_misses, &m.cache_invalidations,
+        &m.delta_rescans, &m.delta_fallbacks, &m.commit_waits,
+        &m.crash_restarts, &m.recovered_txs, &m.recovery_frames_scanned,
+        &m.recovery_frames_truncated, &m.recovery_frames_salvaged,
+        &m.checkpoint_compactions, &m.group_commit_batches,
+        &m.group_commit_frames, &m.group_commit_commits,
+        &m.group_commit_stalls, &m.group_commit_failed_acks,
+        &m.group_staged_dropped, &m.wal_device_flushes, &m.server_accepted,
+        &m.server_shed, &m.server_requests, &m.server_sessions_opened,
+        &m.server_sessions_closed, &m.server_wire_errors, &m.server_retries,
+        &m.server_lease_expired, &m.engine_retired_tx}) {
+    c->Add(next++);
+  }
+  int bits = 1;
+  for (Histogram* h :
+       {&m.search_nodes, &m.wait_micros, &m.span_validate, &m.span_execute,
+        &m.span_commit_wait, &m.span_terminate, &m.recovery_micros,
+        &m.server_queue_depth, &m.server_inflight}) {
+    for (int i = 0; i < bits; ++i) h->Record((int64_t{1} << bits) - 1);
+    ++bits;
+  }
+  EXPECT_EQ(
+      MetricsJson(m).Dump(0),
+      "{\"locks\":{\"grants\":1,\"blocks\":2,\"reevals\":3},"
+      "\"figure4\":{\"reevals\":4,\"reassigns\":5},"
+      "\"aborts\":{\"partial_order\":6,\"cascade\":7,\"output\":8,"
+      "\"injected\":9,\"deadline\":10},"
+      "\"validation\":{\"ok\":11,\"fail\":12,\"rescans\":13,"
+      "\"starved\":14,\"search_nodes\":{\"count\":1,\"mean\":1,"
+      "\"p50\":1,\"p99\":1,\"max\":1}},"
+      "\"eval_cache\":{\"hits\":15,\"misses\":16,\"invalidations\":17,"
+      "\"hit_rate\":0.483871,\"delta_rescans\":18,"
+      "\"delta_fallbacks\":19},"
+      "\"commit_waits\":20,"
+      "\"wait_micros\":{\"count\":2,\"mean\":3,\"p50\":3,\"p99\":3,"
+      "\"max\":3},"
+      "\"spans\":{\"validate\":{\"count\":3,\"mean\":7,\"p50\":7,"
+      "\"p99\":7,\"max\":7},"
+      "\"execute\":{\"count\":4,\"mean\":15,\"p50\":15,\"p99\":15,"
+      "\"max\":15},"
+      "\"commit_wait\":{\"count\":5,\"mean\":31,\"p50\":31,"
+      "\"p99\":31,\"max\":31},"
+      "\"terminate\":{\"count\":6,\"mean\":63,\"p50\":63,\"p99\":63,"
+      "\"max\":63}},"
+      "\"recovery\":{\"crash_restarts\":21,\"recovered_txs\":22,"
+      "\"frames_scanned\":23,\"frames_truncated\":24,"
+      "\"frames_salvaged\":25,\"checkpoint_compactions\":26,"
+      "\"recovery_micros\":{\"count\":7,\"mean\":127,\"p50\":127,"
+      "\"p99\":127,\"max\":127}},"
+      "\"group_commit\":{\"batches\":27,\"frames\":28,\"commits\":29,"
+      "\"stalls\":30,\"failed_acks\":31,\"staged_dropped\":32,"
+      "\"device_flushes\":33},"
+      "\"server\":{\"accepted\":34,\"shed\":35,\"requests\":36,"
+      "\"sessions_opened\":37,\"sessions_closed\":38,"
+      "\"active_sessions\":-1,\"wire_errors\":39,"
+      "\"queue_depth\":{\"count\":8,\"mean\":255,\"p50\":255,"
+      "\"p99\":255,\"max\":255},"
+      "\"inflight\":{\"count\":9,\"mean\":511,\"p50\":511,"
+      "\"p99\":511,\"max\":511},"
+      "\"retries\":40,\"lease_expired\":41,\"retired_tx\":42}}");
+}
+
 // --- Chrome trace export -------------------------------------------------
 
 TEST(ChromeTraceTest, TimelineRendersCompleteEventsAndLaneNames) {
