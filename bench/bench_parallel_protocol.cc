@@ -103,6 +103,7 @@ constexpr int64_t kFlushUs = 200;
 
 struct DurableOutcome {
   double commits_per_sec = 0;
+  int committed = 0;
   bool ok = false;
   ProtocolMetrics metrics;
 };
@@ -124,6 +125,7 @@ void RunDurable(const SimWorkload& workload, int threads, bool group_commit,
   std::shared_ptr<CorrectExecutionProtocol> cep;
   ParallelRunResult result = driver.Run(workload, &store, &cep);
   out->commits_per_sec = result.CommitsPerSecond();
+  out->committed = result.committed_count;
   // Durability bar: everything the run acked must be in the durable image.
   RecoveryResult rec = wal.Recover();
   out->ok = !result.watchdog_expired && result.committed_count > 0 &&
@@ -158,13 +160,8 @@ bool RunDurableLegs(const SimWorkload& workload, BenchReport* report) {
     row["name"] = std::string("durable_") + mode;
     row["threads"] = threads;
     row["ops_per_sec"] = o.commits_per_sec;
-    Json& group = row["group_commit"];
-    group["batches"] = o.metrics.group_commit_batches.value();
-    group["frames"] = o.metrics.group_commit_frames.value();
-    group["commits"] = o.metrics.group_commit_commits.value();
-    group["stalls"] = o.metrics.group_commit_stalls.value();
-    group["failed_acks"] = o.metrics.group_commit_failed_acks.value();
-    group["device_flushes"] = o.metrics.wal_device_flushes.value();
+    row["committed"] = o.committed;
+    row["group_commit"] = MetricsJson(o.metrics)["group_commit"];
     report->AddResult(std::move(row));
   };
 
@@ -275,14 +272,13 @@ bool Run(const BenchOptions& options, BenchReport* report) {
     if (threads == 4) {
       std::printf("\nEngine metrics at 4 threads:\n%s\n",
                   metrics.Summary().c_str());
-      EvalCache::Stats cache_stats = cache.stats();
       std::printf("eval cache at 4 threads: %.1f%% hit rate (%lld hits, "
                   "%lld misses, %lld invalidations)\n",
-                  100.0 * cache.HitRate(),
-                  static_cast<long long>(cache_stats.hits),
-                  static_cast<long long>(cache_stats.misses),
-                  static_cast<long long>(cache_stats.invalidations));
-      report->config()["cache_hit_rate"] = cache.HitRate();
+                  100.0 * metrics.cache_hit_rate(),
+                  static_cast<long long>(metrics.cache_hits.value()),
+                  static_cast<long long>(metrics.cache_misses.value()),
+                  static_cast<long long>(metrics.cache_invalidations.value()));
+      report->config()["cache_hit_rate"] = metrics.cache_hit_rate();
       report->AttachMetrics(metrics);
       report->AttachEvents(trace);
     }

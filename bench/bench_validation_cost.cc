@@ -198,7 +198,7 @@ bool RunRepeatedValidation(bool cache_on, BenchReport* report) {
     double speedup = incremental_us > 0 ? static_cast<double>(scratch_us) /
                                               static_cast<double>(incremental_us)
                                         : 0.0;
-    double hit_rate = cache.HitRate();
+    double hit_rate = cache.metrics()->cache_hit_rate();
     bool row_ok = agree == rounds && (!cache_on || speedup >= 2.0);
     ok &= row_ok;
     std::printf("%9d %9d %7d | %11lld %11lld | %7.1f%% %9lld %7d/%-3d | "

@@ -87,13 +87,13 @@ int main() {
   (void)cep.Read(2, 0, &v);
   (void)cep.Commit(2);
 
-  const CorrectExecutionProtocol::Stats& stats = cep.stats();
+  const ProtocolMetrics& m = *cep.metrics();
   std::printf("\nprotocol counters: validations=%lld reevals=%lld "
               "reassigns=%lld po_aborts=%lld\n",
-              static_cast<long long>(stats.validations),
-              static_cast<long long>(stats.reevals),
-              static_cast<long long>(stats.reassigns),
-              static_cast<long long>(stats.po_aborts));
+              static_cast<long long>(m.validations.value()),
+              static_cast<long long>(m.reevals.value()),
+              static_cast<long long>(m.reassigns.value()),
+              static_cast<long long>(m.po_aborts.value()));
   std::printf("final committed x = %lld\n",
               static_cast<long long>(store.LatestCommittedSnapshot()[0]));
   return 0;

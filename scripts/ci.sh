@@ -60,6 +60,20 @@ assert group8["group_commit"]["device_flushes"] < sync8["group_commit"][
     "device_flushes"], "group commit did not reduce device flushes"
 for threads in (16, 32):
     assert ("durable_group", threads) in rows, f"missing {threads}-thread row"
+# Exact counts: a WAL that counts into the wrong sink, or twice, fails.
+for r in report["results"]:
+    g = r.get("group_commit")
+    if r.get("name") == "durable_sync":
+        assert g["device_flushes"] == r["committed"], \
+            f"sync: {g['device_flushes']} flushes for {r['committed']} commits"
+    elif r.get("name") == "durable_group":
+        where = f"group x{r['threads']}"
+        assert g["commits"] == r["committed"], \
+            f"{where}: {g['commits']} batched, {r['committed']} committed"
+        assert g["device_flushes"] == g["batches"], \
+            f"{where}: {g['device_flushes']} flushes for {g['batches']} batches"
+        assert g["failed_acks"] == 0, f"{where}: failed acks"
+        assert g["staged_dropped"] == 0, f"{where}: staged frames dropped"
 print(f"durability gate ok: {speedup:.2f}x, "
       f"{group8['group_commit']['batches']} batches for "
       f"{group8['group_commit']['commits']} commits")

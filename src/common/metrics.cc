@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+
+#include "common/strings.h"
 
 namespace nonserial {
 
@@ -45,8 +49,9 @@ int64_t Histogram::ApproxPercentile(double p) const {
     seen += buckets_[b].load(std::memory_order_relaxed);
     if (seen >= rank) {
       if (b == 0) return 0;
-      // The top bucket is open-ended: its upper bound is the largest sample.
-      return b == kNumBuckets - 1 ? max() : (int64_t{1} << b) - 1;
+      // No sample exceeds max(); the top bucket is open-ended besides.
+      return b == kNumBuckets - 1 ? max()
+                                  : std::min((int64_t{1} << b) - 1, max());
     }
   }
   return max();
@@ -66,150 +71,144 @@ void Histogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+using M = ProtocolMetrics;
+
+constexpr MetricRow kMetricTable[] = {
+    {"locks", "grants", &M::lock_grants},
+    {"locks", "blocks", &M::lock_blocks},
+    {"locks", "reevals", &M::lock_reevals},
+    {"figure4", "reevals", &M::reevals},
+    {"figure4", "reassigns", &M::reassigns},
+    {"aborts", "partial_order", &M::po_aborts},
+    {"aborts", "cascade", &M::cascade_aborts},
+    {"aborts", "output", &M::output_aborts},
+    {"aborts", "injected", &M::injected_aborts},
+    {"aborts", "deadline", &M::deadline_aborts},
+    {"validation", "ok", &M::validations},
+    {"validation", "fail", &M::validation_fails},
+    {"validation", "rescans", &M::validation_rescans},
+    {"validation", "starved", &M::validation_starved},
+    {"validation", "search_nodes", &M::search_nodes},
+    {"eval_cache", "hits", &M::cache_hits},
+    {"eval_cache", "misses", &M::cache_misses},
+    {"eval_cache", "invalidations", &M::cache_invalidations},
+    {"eval_cache", "hit_rate", &M::cache_hit_rate},
+    {"eval_cache", "delta_rescans", &M::delta_rescans},
+    {"eval_cache", "delta_fallbacks", &M::delta_fallbacks},
+    {"", "commit_waits", &M::commit_waits},
+    {"", "wait_micros", &M::wait_micros},
+    {"spans", "validate", &M::span_validate},
+    {"spans", "execute", &M::span_execute},
+    {"spans", "commit_wait", &M::span_commit_wait},
+    {"spans", "terminate", &M::span_terminate},
+    {"recovery", "crash_restarts", &M::crash_restarts},
+    {"recovery", "recovered_txs", &M::recovered_txs},
+    {"recovery", "frames_scanned", &M::recovery_frames_scanned},
+    {"recovery", "frames_truncated", &M::recovery_frames_truncated},
+    {"recovery", "frames_salvaged", &M::recovery_frames_salvaged},
+    {"recovery", "checkpoint_compactions", &M::checkpoint_compactions},
+    {"recovery", "recovery_micros", &M::recovery_micros},
+    {"group_commit", "batches", &M::group_commit_batches},
+    {"group_commit", "frames", &M::group_commit_frames},
+    {"group_commit", "commits", &M::group_commit_commits},
+    {"group_commit", "stalls", &M::group_commit_stalls},
+    {"group_commit", "failed_acks", &M::group_commit_failed_acks},
+    {"group_commit", "staged_dropped", &M::group_staged_dropped},
+    {"group_commit", "device_flushes", &M::wal_device_flushes},
+    {"server", "accepted", &M::server_accepted},
+    {"server", "shed", &M::server_shed},
+    {"server", "requests", &M::server_requests},
+    {"server", "sessions_opened", &M::server_sessions_opened},
+    {"server", "sessions_closed", &M::server_sessions_closed},
+    {"server", "active_sessions", &M::active_sessions},
+    {"server", "wire_errors", &M::server_wire_errors},
+    {"server", "queue_depth", &M::server_queue_depth},
+    {"server", "inflight", &M::server_inflight},
+    {"server", "retries", &M::server_retries},
+    {"server", "lease_expired", &M::server_lease_expired},
+    {"server", "retired_tx", &M::engine_retired_tx},
+};
+
+constexpr size_t RowsHolding(size_t field_index) {
+  size_t n = 0;
+  for (const MetricRow& row : kMetricTable) {
+    n += row.field.index() == field_index;
+  }
+  return n;
+}
+
+// A member added to ProtocolMetrics without a row fails here.
+static_assert(sizeof(ProtocolMetrics) ==
+                  RowsHolding(0) * sizeof(Counter) +
+                      RowsHolding(1) * sizeof(Histogram),
+              "every ProtocolMetrics member needs one MetricTable row");
+
+}  // namespace
+
+std::span<const MetricRow> MetricTable() { return kMetricTable; }
+
+double ProtocolMetrics::cache_hit_rate() const {
+  int64_t probes = cache_hits.value() + cache_misses.value();
+  return probes == 0 ? 0.0
+                     : static_cast<double>(cache_hits.value()) /
+                           static_cast<double>(probes);
+}
+
+int64_t ProtocolMetrics::active_sessions() const {
+  return server_sessions_opened.value() - server_sessions_closed.value();
+}
+
 std::string ProtocolMetrics::Summary() const {
-  std::ostringstream os;
-  os << "locks: grants=" << lock_grants.value()
-     << " blocks=" << lock_blocks.value()
-     << " re-evals=" << lock_reevals.value() << "\n";
-  os << "figure-4: routines=" << reevals.value()
-     << " re-assigns=" << reassigns.value() << "\n";
-  os << "aborts: partial-order=" << po_aborts.value()
-     << " cascade=" << cascade_aborts.value()
-     << " output=" << output_aborts.value();
-  if (injected_aborts.value() > 0) {
-    os << " injected=" << injected_aborts.value();
-  }
-  if (deadline_aborts.value() > 0) {
-    os << " deadline=" << deadline_aborts.value();
-  }
-  os << "\n";
-  os << "validation: ok=" << validations.value()
-     << " fail=" << validation_fails.value()
-     << " rescans=" << validation_rescans.value()
-     << " starved=" << validation_starved.value() << "\n";
-  if (cache_hits.value() + cache_misses.value() > 0 ||
-      delta_rescans.value() > 0) {
-    int64_t probes = cache_hits.value() + cache_misses.value();
-    os << "eval cache: hits=" << cache_hits.value()
-       << " misses=" << cache_misses.value()
-       << " invalidations=" << cache_invalidations.value() << " hit-rate="
-       << (probes == 0 ? 0.0
-                       : static_cast<double>(cache_hits.value()) /
-                             static_cast<double>(probes))
-       << " delta-rescans=" << delta_rescans.value()
-       << " delta-fallbacks=" << delta_fallbacks.value() << "\n";
-  }
-  if (crash_restarts.value() > 0) {
-    os << "recovery: crash-restarts=" << crash_restarts.value()
-       << " recovered-txs=" << recovered_txs.value()
-       << " frames-scanned=" << recovery_frames_scanned.value()
-       << " frames-truncated=" << recovery_frames_truncated.value()
-       << " frames-salvaged=" << recovery_frames_salvaged.value()
-       << " compactions=" << checkpoint_compactions.value() << "\n";
-    if (recovery_micros.count() > 0) {
-      os << "recovery time (us): " << recovery_micros.ToString() << "\n";
+  std::string out;
+  std::string line;        // " key=value" per scalar of the current group.
+  std::string histograms;  // A line per histogram of the group with samples.
+  bool active = false;     // A counter of the current group is nonzero.
+  std::span<const MetricRow> table = MetricTable();
+  for (size_t i = 0; i < table.size(); ++i) {
+    const MetricRow& row = table[i];
+    const std::string_view group = row.group;
+    std::visit(
+        [&](auto field) {
+          using Field = decltype(field);
+          if constexpr (std::is_same_v<Field, Histogram ProtocolMetrics::*>) {
+            const Histogram& h = this->*field;
+            if (h.count() == 0) return;
+            histograms += StrCat(group, group.empty() ? "" : ".", row.key,
+                                 ": ", h.ToString(), "\n");
+          } else if constexpr (std::is_same_v<Field,
+                                              Counter ProtocolMetrics::*>) {
+            int64_t value = (this->*field).value();
+            active |= value != 0;
+            line += StrCat(" ", row.key, "=", value);
+          } else {
+            line += StrCat(" ", row.key, "=", (this->*field)());
+          }
+        },
+        row.field);
+    if (i + 1 < table.size() && group == table[i + 1].group) continue;
+    if (active) {
+      out += group.empty() ? line.substr(1) : StrCat(group, ":", line);
+      out += "\n";
     }
+    out += histograms;
+    line.clear();
+    histograms.clear();
+    active = false;
   }
-  if (group_commit_batches.value() > 0 || wal_device_flushes.value() > 0) {
-    os << "group commit: batches=" << group_commit_batches.value()
-       << " frames=" << group_commit_frames.value()
-       << " commits=" << group_commit_commits.value()
-       << " stalls=" << group_commit_stalls.value()
-       << " failed-acks=" << group_commit_failed_acks.value()
-       << " staged-dropped=" << group_staged_dropped.value()
-       << " device-flushes=" << wal_device_flushes.value() << "\n";
-  }
-  if (server_sessions_opened.value() > 0 || server_shed.value() > 0) {
-    os << "server: accepted=" << server_accepted.value()
-       << " shed=" << server_shed.value()
-       << " requests=" << server_requests.value()
-       << " sessions-opened=" << server_sessions_opened.value()
-       << " sessions-closed=" << server_sessions_closed.value()
-       << " wire-errors=" << server_wire_errors.value()
-       << " retries=" << server_retries.value()
-       << " lease-expired=" << server_lease_expired.value()
-       << " retired-tx=" << engine_retired_tx.value() << "\n";
-    if (server_queue_depth.count() > 0) {
-      os << "server queue depth: " << server_queue_depth.ToString() << "\n";
-    }
-    if (server_inflight.count() > 0) {
-      os << "server in-flight: " << server_inflight.ToString() << "\n";
-    }
-  }
-  if (search_nodes.count() > 0) {
-    os << "search nodes: " << search_nodes.ToString() << "\n";
-  }
-  os << "commit waits: " << commit_waits.value() << "\n";
-  if (wait_micros.count() > 0) {
-    os << "blocked episodes (us): " << wait_micros.ToString() << "\n";
-  }
-  if (span_validate.count() > 0) {
-    os << "span validate: " << span_validate.ToString() << "\n";
-  }
-  if (span_execute.count() > 0) {
-    os << "span execute: " << span_execute.ToString() << "\n";
-  }
-  if (span_commit_wait.count() > 0) {
-    os << "span commit-wait: " << span_commit_wait.ToString() << "\n";
-  }
-  if (span_terminate.count() > 0) {
-    os << "span terminate: " << span_terminate.ToString() << "\n";
-  }
-  return os.str();
+  return out;
 }
 
 void ProtocolMetrics::Reset() {
-  lock_grants.Reset();
-  lock_blocks.Reset();
-  lock_reevals.Reset();
-  reevals.Reset();
-  reassigns.Reset();
-  po_aborts.Reset();
-  cascade_aborts.Reset();
-  output_aborts.Reset();
-  injected_aborts.Reset();
-  deadline_aborts.Reset();
-  validations.Reset();
-  validation_fails.Reset();
-  validation_rescans.Reset();
-  validation_starved.Reset();
-  search_nodes.Reset();
-  cache_hits.Reset();
-  cache_misses.Reset();
-  cache_invalidations.Reset();
-  delta_rescans.Reset();
-  delta_fallbacks.Reset();
-  commit_waits.Reset();
-  wait_micros.Reset();
-  span_validate.Reset();
-  span_execute.Reset();
-  span_commit_wait.Reset();
-  span_terminate.Reset();
-  crash_restarts.Reset();
-  recovered_txs.Reset();
-  recovery_frames_scanned.Reset();
-  recovery_frames_truncated.Reset();
-  recovery_frames_salvaged.Reset();
-  checkpoint_compactions.Reset();
-  recovery_micros.Reset();
-  group_commit_batches.Reset();
-  group_commit_frames.Reset();
-  group_commit_commits.Reset();
-  group_commit_stalls.Reset();
-  group_commit_failed_acks.Reset();
-  group_staged_dropped.Reset();
-  wal_device_flushes.Reset();
-  server_accepted.Reset();
-  server_shed.Reset();
-  server_requests.Reset();
-  server_sessions_opened.Reset();
-  server_sessions_closed.Reset();
-  server_wire_errors.Reset();
-  server_queue_depth.Reset();
-  server_inflight.Reset();
-  server_retries.Reset();
-  server_lease_expired.Reset();
-  engine_retired_tx.Reset();
+  for (const MetricRow& row : MetricTable()) {
+    if (auto* counter = std::get_if<Counter ProtocolMetrics::*>(&row.field)) {
+      (this->**counter).Reset();
+    } else if (auto* histogram =
+                   std::get_if<Histogram ProtocolMetrics::*>(&row.field)) {
+      (this->**histogram).Reset();
+    }
+  }
 }
 
 }  // namespace nonserial

@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <variant>
 
 namespace nonserial {
 
@@ -34,8 +37,8 @@ class Histogram {
   int64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  /// Upper bound of the bucket containing the p-quantile (p in [0, 1]);
-  /// max() for the open-ended top bucket.
+  /// Upper bound of the bucket containing the p-quantile (p in [0, 1]),
+  /// clamped to max().
   int64_t ApproxPercentile(double p) const;
 
   /// Compact one-line rendering: "n=… mean=… p50≤… p99≤… max=…".
@@ -52,7 +55,9 @@ class Histogram {
 
 /// The stats layer shared by the protocol engine, the lock manager, and the
 /// drivers. One instance per run; every member is individually thread-safe,
-/// so components update it concurrently without coordination.
+/// so components update it concurrently without coordination. Each event is
+/// counted once, by the layer where it happens; MetricTable() names every
+/// member and drives the renderings and Reset().
 struct ProtocolMetrics {
   // Lock-manager outcomes (Figure 3 matrix results).
   Counter lock_grants;      ///< Requests answered "true" immediately.
@@ -113,8 +118,7 @@ struct ProtocolMetrics {
                                       ///< earlier log segments.
   Histogram recovery_micros;          ///< Wall-clock µs per recovery pass.
 
-  // Group-commit pipeline (durable runs; folded in from WalStats by the
-  // parallel driver after workers join).
+  // Group-commit pipeline (durable runs; counted by the write-ahead log).
   Counter group_commit_batches;   ///< Staging batches flushed by the writer.
   Counter group_commit_frames;    ///< Frames flushed via batches.
   Counter group_commit_commits;   ///< Commit acks resolved by batch flushes.
@@ -153,7 +157,13 @@ struct ProtocolMetrics {
   Counter engine_retired_tx;      ///< Terminated transactions retired from
                                   ///< the controller's live scan set.
 
-  /// Multi-line human-readable dump (omits never-touched members).
+  /// cache_hits over all cache probes, in [0, 1].
+  double cache_hit_rate() const;
+  /// Sessions opened and not yet closed.
+  int64_t active_sessions() const;
+
+  /// Multi-line human-readable dump: one "group: key=value ..." line per
+  /// group with a nonzero counter, one line per histogram with samples.
   std::string Summary() const;
 
   /// The full structure as a pretty-printed JSON object — the `metrics`
@@ -162,6 +172,53 @@ struct ProtocolMetrics {
   std::string ToJson() const;
 
   void Reset();
+};
+
+/// One row of MetricTable(): a ProtocolMetrics member, or a value computed
+/// from members, and the group and key it has in the run report.
+struct MetricRow {
+  using Field = std::variant<Counter ProtocolMetrics::*,
+                             Histogram ProtocolMetrics::*,
+                             int64_t (ProtocolMetrics::*)() const,
+                             double (ProtocolMetrics::*)() const>;
+  const char* group;  ///< Report object holding the key; "" = top level.
+  const char* key;
+  Field field;
+};
+
+/// Every ProtocolMetrics member exactly once, plus the computed rows, in
+/// report order. MetricsJson (common/report.h), Summary and Reset loop over
+/// it, so a new member needs one declaration and one row.
+std::span<const MetricRow> MetricTable();
+
+/// The ProtocolMetrics a component counts into: the caller's when one is
+/// attached, else one the component owns. Never null, so counting sites
+/// need no check. The pointer is atomic, so counting threads may race an
+/// Attach; an attached sink must outlive its attachment.
+class MetricsSink {
+ public:
+  explicit MetricsSink(ProtocolMetrics* attached = nullptr) {
+    Attach(attached);
+  }
+
+  /// Counts into `attached` from now on; nullptr returns to the owned sink.
+  /// Not safe against a concurrent Attach.
+  void Attach(ProtocolMetrics* attached) {
+    if (attached == nullptr) {
+      if (owned_ == nullptr) owned_ = std::make_unique<ProtocolMetrics>();
+      attached = owned_.get();
+    }
+    sink_.store(attached, std::memory_order_release);
+  }
+
+  ProtocolMetrics* get() const { return sink_.load(std::memory_order_acquire); }
+  ProtocolMetrics* operator->() const { return get(); }
+  /// True while counting into the owned sink.
+  bool owned() const { return owned_ != nullptr && get() == owned_.get(); }
+
+ private:
+  std::unique_ptr<ProtocolMetrics> owned_;
+  std::atomic<ProtocolMetrics*> sink_{nullptr};
 };
 
 }  // namespace nonserial

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
+#include <variant>
 
 namespace nonserial {
 
@@ -146,73 +148,22 @@ Json HistogramJson(const Histogram& h) {
 
 Json MetricsJson(const ProtocolMetrics& m) {
   Json out = Json::Object();
-  Json& locks = out["locks"];
-  locks["grants"] = m.lock_grants.value();
-  locks["blocks"] = m.lock_blocks.value();
-  locks["reevals"] = m.lock_reevals.value();
-  Json& fig4 = out["figure4"];
-  fig4["reevals"] = m.reevals.value();
-  fig4["reassigns"] = m.reassigns.value();
-  Json& aborts = out["aborts"];
-  aborts["partial_order"] = m.po_aborts.value();
-  aborts["cascade"] = m.cascade_aborts.value();
-  aborts["output"] = m.output_aborts.value();
-  aborts["injected"] = m.injected_aborts.value();
-  aborts["deadline"] = m.deadline_aborts.value();
-  Json& validation = out["validation"];
-  validation["ok"] = m.validations.value();
-  validation["fail"] = m.validation_fails.value();
-  validation["rescans"] = m.validation_rescans.value();
-  validation["starved"] = m.validation_starved.value();
-  validation["search_nodes"] = HistogramJson(m.search_nodes);
-  Json& cache = out["eval_cache"];
-  cache["hits"] = m.cache_hits.value();
-  cache["misses"] = m.cache_misses.value();
-  cache["invalidations"] = m.cache_invalidations.value();
-  int64_t cache_probes = m.cache_hits.value() + m.cache_misses.value();
-  cache["hit_rate"] =
-      cache_probes == 0 ? 0.0
-                        : static_cast<double>(m.cache_hits.value()) /
-                              static_cast<double>(cache_probes);
-  cache["delta_rescans"] = m.delta_rescans.value();
-  cache["delta_fallbacks"] = m.delta_fallbacks.value();
-  out["commit_waits"] = m.commit_waits.value();
-  out["wait_micros"] = HistogramJson(m.wait_micros);
-  Json& spans = out["spans"];
-  spans["validate"] = HistogramJson(m.span_validate);
-  spans["execute"] = HistogramJson(m.span_execute);
-  spans["commit_wait"] = HistogramJson(m.span_commit_wait);
-  spans["terminate"] = HistogramJson(m.span_terminate);
-  Json& recovery = out["recovery"];
-  recovery["crash_restarts"] = m.crash_restarts.value();
-  recovery["recovered_txs"] = m.recovered_txs.value();
-  recovery["frames_scanned"] = m.recovery_frames_scanned.value();
-  recovery["frames_truncated"] = m.recovery_frames_truncated.value();
-  recovery["frames_salvaged"] = m.recovery_frames_salvaged.value();
-  recovery["checkpoint_compactions"] = m.checkpoint_compactions.value();
-  recovery["recovery_micros"] = HistogramJson(m.recovery_micros);
-  Json& group = out["group_commit"];
-  group["batches"] = m.group_commit_batches.value();
-  group["frames"] = m.group_commit_frames.value();
-  group["commits"] = m.group_commit_commits.value();
-  group["stalls"] = m.group_commit_stalls.value();
-  group["failed_acks"] = m.group_commit_failed_acks.value();
-  group["staged_dropped"] = m.group_staged_dropped.value();
-  group["device_flushes"] = m.wal_device_flushes.value();
-  Json& server = out["server"];
-  server["accepted"] = m.server_accepted.value();
-  server["shed"] = m.server_shed.value();
-  server["requests"] = m.server_requests.value();
-  server["sessions_opened"] = m.server_sessions_opened.value();
-  server["sessions_closed"] = m.server_sessions_closed.value();
-  server["active_sessions"] =
-      m.server_sessions_opened.value() - m.server_sessions_closed.value();
-  server["wire_errors"] = m.server_wire_errors.value();
-  server["queue_depth"] = HistogramJson(m.server_queue_depth);
-  server["inflight"] = HistogramJson(m.server_inflight);
-  server["retries"] = m.server_retries.value();
-  server["lease_expired"] = m.server_lease_expired.value();
-  server["retired_tx"] = m.engine_retired_tx.value();
+  for (const MetricRow& row : MetricTable()) {
+    Json& slot = *row.group == '\0' ? out[row.key] : out[row.group][row.key];
+    std::visit(
+        [&](auto field) {
+          using Field = decltype(field);
+          if constexpr (std::is_same_v<Field, Counter ProtocolMetrics::*>) {
+            slot = (m.*field).value();
+          } else if constexpr (std::is_same_v<Field,
+                                              Histogram ProtocolMetrics::*>) {
+            slot = HistogramJson(m.*field);
+          } else {
+            slot = (m.*field)();
+          }
+        },
+        row.field);
+  }
   return out;
 }
 

@@ -17,13 +17,15 @@ std::string SummarizeStats(const ConcurrencyController& controller) {
   std::ostringstream os;
   if (const auto* cep =
           dynamic_cast<const CorrectExecutionProtocol*>(&controller)) {
-    const CorrectExecutionProtocol::Stats& s = cep->stats();
-    os << "validations=" << s.validations
-       << " retries=" << s.validation_retries
-       << " rescans=" << s.validation_rescans << " reevals=" << s.reevals
-       << " reassigns=" << s.reassigns << " po_aborts=" << s.po_aborts
-       << " cascade_aborts=" << s.cascade_aborts
-       << " search_nodes=" << s.search.nodes_visited;
+    const ProtocolMetrics& m = *cep->metrics();
+    os << "validations=" << m.validations.value()
+       << " retries=" << m.validation_fails.value()
+       << " rescans=" << m.validation_rescans.value()
+       << " reevals=" << m.reevals.value()
+       << " reassigns=" << m.reassigns.value()
+       << " po_aborts=" << m.po_aborts.value()
+       << " cascade_aborts=" << m.cascade_aborts.value()
+       << " search_nodes=" << m.search_nodes.sum();
   } else if (const auto* tpl =
                  dynamic_cast<const TwoPhaseLockingController*>(&controller)) {
     const TwoPhaseLockingController::Stats& s = tpl->stats();

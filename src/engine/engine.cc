@@ -78,16 +78,21 @@ class SerializedController : public ConcurrencyController {
 
 }  // namespace
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {
-  // Engine-level retirement implies the protocol-level scan-set support
-  // (must be set before BuildController copies the protocol options).
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)), metrics_(options_.protocol.metrics) {
+  // Engine-level retirement implies the protocol-level scan-set support,
+  // and the default CEP counts into the engine's sink (both must be set
+  // before BuildController copies the protocol options).
   if (options_.retire_terminated_tx) options_.protocol.retirement = true;
+  options_.protocol.metrics = metrics();
   store_ = std::make_shared<VersionStore>(options_.initial);
   if (options_.wal != nullptr) {
     NONSERIAL_CHECK_EQ(options_.wal->initial().size(), options_.initial.size())
         << "write-ahead log initial state does not match the engine's";
     store_->SetWal(options_.wal);
-    wal_stats_before_ = options_.wal->stats();
+    // Attached before the writer thread starts, detached by Shutdown once
+    // it has joined.
+    options_.wal->SetMetrics(metrics());
     options_.wal->set_flush_us(options_.wal_flush_us);
     if (options_.wal_group_commit) {
       options_.wal->SetObserver(options_.observer);
@@ -95,12 +100,10 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
     }
   }
   if (options_.protocol.eval_cache != nullptr) {
-    // Size the epoch table and mirror the counters before any client runs.
-    // EnsureEntities is safe under concurrent use, but SetMetrics is a
-    // plain pointer store and must precede the workers.
+    // Size the epoch table and count the probes into the engine's sink.
     options_.protocol.eval_cache->EnsureEntities(
         static_cast<int>(options_.initial.size()));
-    options_.protocol.eval_cache->SetMetrics(options_.protocol.metrics);
+    options_.protocol.eval_cache->SetMetrics(metrics());
   }
   BuildController(store_.get());
 }
@@ -124,7 +127,14 @@ void Engine::BuildController(VersionStore* store) {
   if (options_.observer != nullptr) controller_->SetObserver(options_.observer);
 }
 
-Engine::~Engine() { Shutdown(); }
+Engine::~Engine() {
+  Shutdown();
+  // The cache may outlive the engine; it must not count into a sink that
+  // dies here.
+  if (options_.protocol.eval_cache != nullptr && metrics_.owned()) {
+    options_.protocol.eval_cache->SetMetrics(nullptr);
+  }
+}
 
 void Engine::Shutdown() {
   std::lock_guard<std::mutex> lifecycle_lock(lifecycle_mu_);
@@ -145,23 +155,7 @@ void Engine::Shutdown() {
       options_.wal->DisableGroupCommit();
       options_.wal->SetObserver(nullptr);
     }
-    if (ProtocolMetrics* m = metrics(); m != nullptr) {
-      WalStats after = options_.wal->stats();
-      const WalStats& before = wal_stats_before_;
-      m->group_commit_batches.Add(after.group_commit_batches -
-                                  before.group_commit_batches);
-      m->group_commit_frames.Add(after.group_commit_frames -
-                                 before.group_commit_frames);
-      m->group_commit_commits.Add(after.group_commit_commits -
-                                  before.group_commit_commits);
-      m->group_commit_stalls.Add(after.group_commit_stalls -
-                                 before.group_commit_stalls);
-      m->group_commit_failed_acks.Add(after.group_commit_failed_acks -
-                                      before.group_commit_failed_acks);
-      m->group_staged_dropped.Add(after.group_staged_dropped -
-                                  before.group_staged_dropped);
-      m->wal_device_flushes.Add(after.device_flushes - before.device_flushes);
-    }
+    options_.wal->SetMetrics(nullptr);
   }
   shutdown_done_ = true;
 }
@@ -300,9 +294,7 @@ bool Engine::AwaitSignal(int tx, int64_t wait_us, int64_t* blocked_us) {
   }
   int64_t blocked = ElapsedUs(parked);
   if (blocked_us != nullptr) *blocked_us += blocked;
-  if (ProtocolMetrics* m = metrics(); m != nullptr) {
-    m->wait_micros.Record(blocked);
-  }
+  metrics()->wait_micros.Record(blocked);
   return forced;
 }
 
@@ -322,9 +314,7 @@ void Engine::ClearSignals(int tx) {
 }
 
 std::unique_ptr<Session> Engine::OpenSession() {
-  if (ProtocolMetrics* m = metrics(); m != nullptr) {
-    m->server_sessions_opened.Add();
-  }
+  metrics()->server_sessions_opened.Add();
   return std::unique_ptr<Session>(new Session(
       this, AllocateTxId(), generation_.load(std::memory_order_acquire)));
 }
@@ -332,7 +322,7 @@ std::unique_ptr<Session> Engine::OpenSession() {
 bool Engine::TryAdmit() {
   ProtocolMetrics* m = metrics();
   auto shed = [m] {
-    if (m != nullptr) m->server_shed.Add();
+    m->server_shed.Add();
     return false;
   };
   if (stopping_.load(std::memory_order_acquire)) return shed();
@@ -350,10 +340,8 @@ bool Engine::TryAdmit() {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     return shed();
   }
-  if (m != nullptr) {
-    m->server_accepted.Add();
-    m->server_inflight.Record(inflight_.load(std::memory_order_relaxed));
-  }
+  m->server_accepted.Add();
+  m->server_inflight.Record(inflight_.load(std::memory_order_relaxed));
   return true;
 }
 
@@ -361,11 +349,7 @@ void Engine::ReleaseAdmission() {
   inflight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Engine::OnSessionClosed() {
-  if (ProtocolMetrics* m = metrics(); m != nullptr) {
-    m->server_sessions_closed.Add();
-  }
-}
+void Engine::OnSessionClosed() { metrics()->server_sessions_closed.Add(); }
 
 void Engine::RetireTx(int tx) {
   if (!options_.retire_terminated_tx || tx < 0) return;
@@ -375,13 +359,12 @@ void Engine::RetireTx(int tx) {
   // while its successors are still live and parks here; the successor's own
   // retirement then unblocks it. Drain to a fixpoint — one retirement can
   // cascade through a whole chain of parked predecessors.
-  ProtocolMetrics* m = metrics();
   bool progress = true;
   while (progress) {
     progress = false;
     for (auto it = retire_pending_.begin(); it != retire_pending_.end();) {
       if (controller_->Retire(*it)) {
-        if (m != nullptr) m->engine_retired_tx.Add();
+        metrics()->engine_retired_tx.Add();
         it = retire_pending_.erase(it);
         progress = true;
       } else {
@@ -435,7 +418,7 @@ bool Session::WaitForTurn(int64_t* poll_us, int64_t* blocked_us) {
     return false;
   }
   if (o.max_blocked_us > 0 && *blocked_us > o.max_blocked_us) {
-    if (engine_->metrics() != nullptr) engine_->metrics()->deadline_aborts.Add();
+    engine_->metrics()->deadline_aborts.Add();
     return false;
   }
   return true;
@@ -613,9 +596,7 @@ Status Session::Commit(uint64_t token) {
         std::lock_guard<std::mutex> token_lock(engine_->token_mu_);
         engine_->tokens_[token] = {tx_, true};
       }
-      if (ProtocolMetrics* m = engine_->metrics(); m != nullptr) {
-        m->span_commit_wait.Record(blocked_us);
-      }
+      engine_->metrics()->span_commit_wait.Record(blocked_us);
       active_ = false;
       id_state_ = IdState::kCommitted;
       engine_->ReleaseAdmission();

@@ -30,7 +30,8 @@ struct EngineOptions {
   /// Initial database state (one value per entity).
   ValueVector initial;
   /// Options forwarded to the protocol engine (search mode, metrics sink,
-  /// eval cache). Pointers inside are not owned.
+  /// eval cache). Pointers inside are not owned. A null metrics sink makes
+  /// the engine count into one it owns (Engine::metrics()).
   CorrectExecutionProtocol::Options protocol;
   /// Builds the hosted controller (protocol/registry.h). Null (the default)
   /// builds a CorrectExecutionProtocol from `protocol`, keeping cep() valid.
@@ -85,10 +86,12 @@ struct EngineOptions {
 };
 
 /// The engine facade: one store + controller (+ WAL pipeline + eval cache)
-/// assembly with an explicit session API. Construction wires everything;
-/// Shutdown() (or the destructor) tears it down in the one safe order —
-/// wake parked sessions, drain the WAL group-commit pipeline, fold the
-/// WAL's pipeline counters into the metrics sink, detach observers.
+/// assembly with an explicit session API. Construction wires everything,
+/// attaching the engine's metrics sink to the default CEP, the eval cache
+/// and the WAL, so each layer counts its own events into it as they
+/// happen. Shutdown() (or the destructor) tears it down in the one safe
+/// order — wake parked sessions, drain the WAL group-commit pipeline,
+/// detach the WAL's sink and observer.
 ///
 /// Clients drive transactions only through Sessions (OpenSession):
 /// independent lifecycles that arrive, issue Begin/Read/Write/Commit/Abort
@@ -125,9 +128,14 @@ class Engine {
   /// CEP-specific clients (the parallel driver, commit tokens) must check.
   CorrectExecutionProtocol* cep() const { return cep_.get(); }
   WriteAheadLog* wal() const { return options_.wal; }
-  ProtocolMetrics* metrics() const { return options_.protocol.metrics; }
+  /// The sink every layer counts into: EngineOptions::protocol.metrics, or
+  /// one the engine owns. Never null; live while the engine runs.
+  ProtocolMetrics* metrics() const { return metrics_.get(); }
   const EngineOptions& options() const { return options_; }
-  /// Shared ownership handles (verification outlives the engine).
+  /// Shared ownership handles (verification outlives the engine). A CEP
+  /// kept past the engine must not be driven or asked for metrics() unless
+  /// EngineOptions::protocol.metrics named a sink: the engine's own dies
+  /// with it.
   std::shared_ptr<VersionStore> store_ref() const { return store_; }
   std::shared_ptr<CorrectExecutionProtocol> cep_ref() const { return cep_; }
   std::shared_ptr<ConcurrencyController> controller_ref() const {
@@ -226,7 +234,7 @@ class Engine {
   std::shared_ptr<VersionStore> store_;
   std::shared_ptr<ConcurrencyController> controller_;
   std::shared_ptr<CorrectExecutionProtocol> cep_;
-  WalStats wal_stats_before_{};
+  MetricsSink metrics_;
 
   std::atomic<int> next_tx_{0};
   std::atomic<int> inflight_{0};

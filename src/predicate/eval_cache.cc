@@ -123,11 +123,7 @@ void EvalCache::InsertLocked(Shard& shard, uint64_t key, const Entry& entry) {
   if (shard.count >= kMaxShardEntries) {
     // Bound reached: drop the shard wholesale (simple and rare; entries
     // re-insert on their next evaluation).
-    invalidations_.fetch_add(static_cast<int64_t>(shard.count),
-                             std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      metrics_->cache_invalidations.Add(static_cast<int64_t>(shard.count));
-    }
+    metrics_->cache_invalidations.Add(static_cast<int64_t>(shard.count));
     std::fill(shard.slots.begin(), shard.slots.end(), Entry{});
     shard.count = 0;
   } else if ((shard.count + 1) * 10 >= shard.slots.size() * 7) {
@@ -160,18 +156,15 @@ bool EvalCache::EvalClause(uint64_t clause_hash, const Clause& clause,
     if (entry != nullptr && entry->clause_hash == clause_hash &&
         entry->fingerprint == fingerprint) {
       if (entry->epoch_sum == epoch_sum) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) metrics_->cache_hits.Add();
+        metrics_->cache_hits.Add();
         return entry->result;
       }
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->cache_invalidations.Add();
+      metrics_->cache_invalidations.Add();
     }
   }
 
   bool result = clause.Eval(values);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->cache_misses.Add();
+  metrics_->cache_misses.Add();
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     InsertLocked(shard, key,
@@ -251,11 +244,7 @@ void EvalCache::EvalClauseStripe(uint64_t clause_hash, const Clause& clause,
     if (shard.count >= kMaxShardEntries) {
       // Bound reached: drop the shard wholesale (simple and rare; entries
       // re-insert on their next evaluation).
-      invalidations_.fetch_add(static_cast<int64_t>(shard.count),
-                               std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->cache_invalidations.Add(static_cast<int64_t>(shard.count));
-      }
+      metrics_->cache_invalidations.Add(static_cast<int64_t>(shard.count));
       std::fill(shard.slots.begin(), shard.slots.end(), Entry{});
       shard.count = 0;
     }
@@ -286,19 +275,9 @@ void EvalCache::EvalClauseStripe(uint64_t clause_hash, const Clause& clause,
     }
   }
 
-  if (hits > 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->cache_hits.Add(hits);
-  }
-  if (stale > 0) {
-    invalidations_.fetch_add(stale, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->cache_invalidations.Add(stale);
-  }
-  int64_t missed = n - hits;
-  if (missed > 0) {
-    misses_.fetch_add(missed, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->cache_misses.Add(missed);
-  }
+  if (hits > 0) metrics_->cache_hits.Add(hits);
+  if (stale > 0) metrics_->cache_invalidations.Add(stale);
+  if (n > hits) metrics_->cache_misses.Add(n - hits);
 }
 
 void EvalCache::BumpEntity(EntityId e) {
@@ -323,27 +302,10 @@ void EvalCache::Clear() {
     std::fill(shards_[s].slots.begin(), shards_[s].slots.end(), Entry{});
     shards_[s].count = 0;
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
+  metrics_->cache_hits.Reset();
+  metrics_->cache_misses.Reset();
+  metrics_->cache_invalidations.Reset();
   epoch_bumps_.store(0, std::memory_order_relaxed);
-}
-
-EvalCache::Stats EvalCache::stats() const {
-  Stats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.invalidations = invalidations_.load(std::memory_order_relaxed);
-  out.epoch_bumps = epoch_bumps_.load(std::memory_order_relaxed);
-  return out;
-}
-
-double EvalCache::HitRate() const {
-  Stats s = stats();
-  int64_t probes = s.hits + s.misses;
-  return probes == 0 ? 0.0
-                     : static_cast<double>(s.hits) /
-                           static_cast<double>(probes);
 }
 
 size_t EvalCache::size() const {

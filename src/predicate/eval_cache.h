@@ -57,15 +57,6 @@ namespace nonserial {
 /// the shared thread pool.
 class EvalCache {
  public:
-  /// Counter snapshot; see stats().
-  struct Stats {
-    int64_t hits = 0;           ///< Probes answered from the table.
-    int64_t misses = 0;         ///< Probes that evaluated and inserted.
-    int64_t invalidations = 0;  ///< Stale entries replaced (epoch mismatch)
-                                ///< plus entries dropped by shard overflow.
-    int64_t epoch_bumps = 0;    ///< BumpEntity / InvalidateAll calls.
-  };
-
   /// Constructs a cache sized for `num_entities` dense entity ids (the
   /// epoch table grows on demand via EnsureEntities).
   explicit EvalCache(int num_entities = 0);
@@ -119,23 +110,25 @@ class EvalCache {
   /// whole store generation is discarded, e.g. on crash recovery.
   void InvalidateAll();
 
-  /// Drops all entries and counters (test hygiene; not thread-safe).
+  /// Drops all entries, the epoch-bump count and the cache counters of
+  /// metrics() (test hygiene; not thread-safe).
   void Clear();
 
-  /// Snapshot of the hit/miss/invalidation counters.
-  Stats stats() const;
-
-  /// The fraction of probes answered from the table, in [0, 1].
-  double HitRate() const;
+  /// BumpEntity / InvalidateAll calls so far.
+  int64_t epoch_bumps() const {
+    return epoch_bumps_.load(std::memory_order_relaxed);
+  }
 
   /// Number of live entries across all shards (approximate under
   /// concurrent use).
   size_t size() const;
 
-  /// Mirrors future hits/misses/invalidations into `metrics`
-  /// (cache_hits / cache_misses / cache_invalidations). Not owned; pass
-  /// nullptr to detach. Set before concurrent use.
-  void SetMetrics(ProtocolMetrics* metrics) { metrics_ = metrics; }
+  /// Counts future probes into `metrics`: cache_hits, cache_misses, and
+  /// cache_invalidations (stale entries replaced plus entries dropped by
+  /// shard overflow). Not owned; nullptr returns to the sink the cache owns.
+  void SetMetrics(ProtocolMetrics* metrics) { metrics_.Attach(metrics); }
+  /// The sink probes are counted into (never null).
+  ProtocolMetrics* metrics() const { return metrics_.get(); }
 
  private:
   /// One open-addressed slot. key == 0 means empty (probe keys are
@@ -211,12 +204,9 @@ class EvalCache {
   std::atomic<EpochTable*> epoch_table_{nullptr};
   std::atomic<uint64_t> global_epoch_{0};
 
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  mutable std::atomic<int64_t> invalidations_{0};
-  mutable std::atomic<int64_t> epoch_bumps_{0};
+  std::atomic<int64_t> epoch_bumps_{0};
 
-  ProtocolMetrics* metrics_ = nullptr;
+  MetricsSink metrics_;
 };
 
 /// Immutable per-predicate companion for EvalCache: the precomputed

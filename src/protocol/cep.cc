@@ -15,7 +15,8 @@ CorrectExecutionProtocol::CorrectExecutionProtocol(VersionStore* store,
                                                    Options options)
     : store_(store),
       options_(options),
-      locks_(store->num_entities(), options.metrics) {
+      metrics_(options.metrics),
+      locks_(store->num_entities(), metrics_.get()) {
   initial_snapshot_.resize(store->num_entities());
   for (EntityId e = 0; e < store->num_entities(); ++e) {
     initial_snapshot_[e] = store->VersionAt(e, 0).value;
@@ -196,7 +197,7 @@ bool CorrectExecutionProtocol::SolveAssignment(
   CandidateSnapshot snapshot = GatherCandidates(tx, pinned);
   std::optional<std::vector<int>> choice = FindSatisfyingAssignment(
       txs_[tx].profile.input, snapshot.values, options_.search_mode,
-      &stats_.search, txs_[tx].cached_input.get());
+      /*stats=*/nullptr, txs_[tx].cached_input.get());
   if (!choice.has_value()) return false;
   InstallAssignment(tx, snapshot, *choice);
   return true;
@@ -268,34 +269,22 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
                                          options_.search_mode, &search,
                                          cached);
     lock.lock();
-    stats_.search.nodes_visited += search.nodes_visited;
-    stats_.search.evaluations += search.evaluations;
-    if (options_.metrics != nullptr) {
-      options_.metrics->search_nodes.Record(search.nodes_visited);
-    }
+    metrics_->search_nodes.Record(search.nodes_visited);
     if (delta) {
-      stats_.delta_rescans += delta_search.delta_solves;
-      stats_.delta_fallbacks += delta_search.delta_fallbacks;
-      if (options_.metrics != nullptr) {
-        options_.metrics->delta_rescans.Add(delta_search.delta_solves);
-        options_.metrics->delta_fallbacks.Add(delta_search.delta_fallbacks);
-      }
+      metrics_->delta_rescans.Add(delta_search.delta_solves);
+      metrics_->delta_fallbacks.Add(delta_search.delta_fallbacks);
       if (delta_search.delta_solves > 0) {
         Emit(CepEvent::Kind::kDeltaRevalidate, tx);
       }
     }
     if (!choice.has_value()) {
-      ++stats_.validation_retries;
-      if (options_.metrics != nullptr) options_.metrics->validation_fails.Add();
+      metrics_->validation_fails.Add();
       validation_waiters_[tx] = txs_[tx].input_entities;
       Emit(CepEvent::Kind::kValidationWait, tx);
       return ReqResult::kBlocked;
     }
     if (!SnapshotStillValid(snapshot, *choice)) {
-      ++stats_.validation_rescans;
-      if (options_.metrics != nullptr) {
-        options_.metrics->validation_rescans.Add();
-      }
+      metrics_->validation_rescans.Add();
       if (++rescans <= options_.max_validation_rescans) {
         prev_snapshot = std::move(snapshot);
         prev_choice = std::move(*choice);
@@ -305,15 +294,9 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
       // Starved by concurrent writers: close the optimistic window and run
       // the search inside the engine lock (the locked Figure 4 path). No
       // write can interleave, so this pass is final.
-      ++stats_.validation_starved;
-      if (options_.metrics != nullptr) {
-        options_.metrics->validation_starved.Add();
-      }
+      metrics_->validation_starved.Add();
       if (!SolveAssignment(tx, {})) {
-        ++stats_.validation_retries;
-        if (options_.metrics != nullptr) {
-          options_.metrics->validation_fails.Add();
-        }
+        metrics_->validation_fails.Add();
         validation_waiters_[tx] = txs_[tx].input_entities;
         Emit(CepEvent::Kind::kValidationWait, tx);
         return ReqResult::kBlocked;
@@ -330,8 +313,7 @@ ReqResult CorrectExecutionProtocol::GrantValidation(int tx) {
   // installed. Firing tears the attempt down post-install, exercising the
   // rollback of a fully assigned (but never executed) transaction.
   if (NONSERIAL_FAILPOINT("cep.post_install")) return ReqResult::kAborted;
-  ++stats_.validations;
-  if (options_.metrics != nullptr) options_.metrics->validations.Add();
+  metrics_->validations.Add();
   txs_[tx].phase = Phase::kExecuting;
   // A previous blocked attempt may have parked this transaction in the
   // waiter maps and a poll-driven retry (rather than a wakeup) got it
@@ -398,8 +380,7 @@ void CorrectExecutionProtocol::WriteDone(int tx, EntityId e) {
 }
 
 void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
-  ++stats_.reevals;
-  if (options_.metrics != nullptr) options_.metrics->reevals.Add();
+  metrics_->reevals.Add();
   Emit(CepEvent::Kind::kReEval, writer, -1, e);
   for (int reader : locks_.Readers(e)) {
     if (reader == writer) continue;
@@ -422,7 +403,7 @@ void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
     if (!author_precedes_writer) continue;  // Figure 4: path(P, V, W).
     if (r.reads_done.contains(e)) {
       // Already read the stale version: partial-order invalidation.
-      ForceAbort(reader, &stats_.po_aborts, CepEvent::Kind::kPoAbort);
+      ForceAbort(reader, CepEvent::Kind::kPoAbort);
     } else {
       ReAssign(reader, writer, e);
     }
@@ -430,8 +411,7 @@ void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
 }
 
 void CorrectExecutionProtocol::ReAssign(int reader, int writer, EntityId e) {
-  ++stats_.reassigns;
-  if (options_.metrics != nullptr) options_.metrics->reassigns.Add();
+  metrics_->reassigns.Add();
   TxState& r = txs_[reader];
   std::map<EntityId, VersionRef> pinned;
   for (EntityId read_entity : r.reads_done) {
@@ -439,9 +419,8 @@ void CorrectExecutionProtocol::ReAssign(int reader, int writer, EntityId e) {
   }
   pinned[e] = VersionRef{e, *store_->LatestIndexBy(e, writer)};
   if (!SolveAssignment(reader, pinned)) {
-    ++stats_.reassign_failures;
-    ForceAbort(reader, &stats_.cascade_aborts,
-               CepEvent::Kind::kCascadeAbort);
+    reassign_failures_.fetch_add(1, std::memory_order_relaxed);
+    ForceAbort(reader, CepEvent::Kind::kCascadeAbort);
     return;
   }
   Emit(CepEvent::Kind::kReAssign, reader, writer, e);
@@ -480,7 +459,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
   for (int pred : state.profile.predecessors) {
     if (txs_[pred].phase != Phase::kCommitted) {
       commit_waiters_[pred].insert(tx);
-      if (options_.metrics != nullptr) options_.metrics->commit_waits.Add();
+      metrics_->commit_waits.Add();
       Emit(CepEvent::Kind::kCommitWait, tx, pred);
       return ReqResult::kBlocked;
     }
@@ -498,14 +477,13 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
       // version that never existed. Abort instead — the author's *phase*
       // may even be committed (a later attempt of the same runtime id),
       // which is exactly why the version itself must be checked.
-      ++stats_.cascade_aborts;
-      if (options_.metrics != nullptr) options_.metrics->cascade_aborts.Add();
+      metrics_->cascade_aborts.Add();
       return ReqResult::kAborted;
     }
     if (txs_[v.writer].phase == Phase::kCommitted) continue;
     if (WouldDeadlock(tx, v.writer)) return ReqResult::kAborted;
     commit_waiters_[v.writer].insert(tx);
-    if (options_.metrics != nullptr) options_.metrics->commit_waits.Add();
+    metrics_->commit_waits.Add();
     Emit(CepEvent::Kind::kCommitWait, tx, v.writer);
     return ReqResult::kBlocked;
   }
@@ -515,7 +493,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
           ? state.cached_output->Eval(state.profile.output, state.local_view)
           : state.profile.output.Eval(state.local_view);
   if (!output_holds) {
-    if (options_.metrics != nullptr) options_.metrics->output_aborts.Add();
+    metrics_->output_aborts.Add();
     return ReqResult::kAborted;
   }
   // Failpoint: the execution/termination boundary, after every commit rule
@@ -632,7 +610,7 @@ void CorrectExecutionProtocol::Abort(int tx) {
     }
     if (!uses_victim) continue;
     if (read_victim) {
-      ForceAbort(other, &stats_.cascade_aborts, CepEvent::Kind::kCascadeAbort);
+      ForceAbort(other, CepEvent::Kind::kCascadeAbort);
       continue;
     }
     // Every use is still unread; the pins (entities already read) therefore
@@ -642,7 +620,7 @@ void CorrectExecutionProtocol::Abort(int tx) {
       pinned[read_entity] = o.assigned.at(read_entity);
     }
     if (!SolveAssignment(other, pinned)) {
-      ForceAbort(other, &stats_.cascade_aborts, CepEvent::Kind::kCascadeAbort);
+      ForceAbort(other, CepEvent::Kind::kCascadeAbort);
     }
   }
 
@@ -706,7 +684,7 @@ size_t CorrectExecutionProtocol::WaiterFootprint() const {
 void CorrectExecutionProtocol::InjectAbort(int tx) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tx < 0 || tx >= static_cast<int>(txs_.size())) return;
-  ForceAbort(tx, &stats_.injected_aborts, CepEvent::Kind::kInjectedAbort);
+  ForceAbort(tx, CepEvent::Kind::kInjectedAbort);
 }
 
 CorrectExecutionProtocol::TxRecord CorrectExecutionProtocol::TxRecord::Recovered(
@@ -770,7 +748,6 @@ bool CorrectExecutionProtocol::Retire(int tx) {
   Phase phase = state.phase;
   state = TxState();
   state.phase = phase;
-  ++stats_.retired;
   Emit(CepEvent::Kind::kRetired, tx);
   return true;
 }
@@ -831,31 +808,22 @@ bool CorrectExecutionProtocol::IsCommitted(int tx) const {
          txs_[tx].phase == Phase::kCommitted;
 }
 
-CorrectExecutionProtocol::Stats CorrectExecutionProtocol::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 void CorrectExecutionProtocol::Wake(int tx) { wakeups_.insert(tx); }
 
-void CorrectExecutionProtocol::ForceAbort(int tx, int64_t* counter,
-                                          CepEvent::Kind reason) {
+void CorrectExecutionProtocol::ForceAbort(int tx, CepEvent::Kind reason) {
   TxState& state = txs_[tx];
   if (state.phase == Phase::kIdle || state.phase == Phase::kCommitted) return;
   if (state.doomed) return;  // Already condemned (signal may be drained).
-  ++*counter;
-  if (options_.metrics != nullptr) {
-    switch (reason) {
-      case CepEvent::Kind::kPoAbort:
-        options_.metrics->po_aborts.Add();
-        break;
-      case CepEvent::Kind::kInjectedAbort:
-        options_.metrics->injected_aborts.Add();
-        break;
-      default:
-        options_.metrics->cascade_aborts.Add();
-        break;
-    }
+  switch (reason) {
+    case CepEvent::Kind::kPoAbort:
+      metrics_->po_aborts.Add();
+      break;
+    case CepEvent::Kind::kInjectedAbort:
+      metrics_->injected_aborts.Add();
+      break;
+    default:
+      metrics_->cascade_aborts.Add();
+      break;
   }
   state.doomed = true;
   forced_aborts_.insert(tx);

@@ -1,6 +1,7 @@
 #ifndef NONSERIAL_PROTOCOL_CEP_H_
 #define NONSERIAL_PROTOCOL_CEP_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -67,7 +68,8 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   struct Options {
     /// Strategy for the satisfying-assignment search (assignment_search.h).
     SearchMode search_mode = SearchMode::kPruned;
-    /// Sink for lock/validation/abort counters; not owned, may be null.
+    /// Sink for lock/validation/abort counters; not owned. Null: the
+    /// protocol counts into a sink it owns (see metrics()).
     ProtocolMetrics* metrics = nullptr;
     /// Bound on optimistic out-of-lock validation rescans per Begin. Under
     /// a write storm on a hot entity the unlocked search can be invalidated
@@ -117,24 +119,6 @@ class CorrectExecutionProtocol : public ConcurrencyController {
     static TxRecord Recovered(const RecoveredTx& t);
   };
 
-  /// Decision counters, accumulated over the engine's lifetime.
-  struct Stats {
-    int64_t validations = 0;          ///< Successful version assignments.
-    int64_t validation_retries = 0;   ///< Unsatisfiable or lock-blocked.
-    int64_t validation_rescans = 0;   ///< Optimistic search invalidated.
-    int64_t validation_starved = 0;   ///< Rescan cap hit; in-lock fallback.
-    int64_t injected_aborts = 0;      ///< Fault-injection (chaos) aborts.
-    int64_t reassigns = 0;            ///< Figure 4 re-assign invocations.
-    int64_t reassign_failures = 0;    ///< Re-assign found no assignment.
-    int64_t reevals = 0;              ///< Figure 4 routine invocations.
-    int64_t po_aborts = 0;            ///< Partial-order invalidation aborts.
-    int64_t cascade_aborts = 0;       ///< Aborts of readers of dead versions.
-    int64_t delta_rescans = 0;        ///< Rescans solved as deltas.
-    int64_t delta_fallbacks = 0;      ///< Delta passes that re-ran in full.
-    int64_t retired = 0;              ///< Transactions retired (Options::retirement).
-    SearchStats search;               ///< Aggregate search effort.
-  };
-
   /// Binds the engine to a store with default options. Not owned; the
   /// store must outlive the engine.
   explicit CorrectExecutionProtocol(VersionStore* store);
@@ -170,8 +154,15 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   /// so the token is durable iff the commit is. 0 clears (no token).
   void SetCommitToken(int tx, uint64_t token);
 
-  /// Snapshot of the counters (copies under the engine lock).
-  Stats stats() const;
+  /// The sink every lock, validation, Figure 4 and abort event is counted
+  /// into: Options::metrics, or the protocol's own.
+  ProtocolMetrics* metrics() const { return metrics_.get(); }
+
+  /// Re-assigns of Figure 4 that found no assignment (each also counts as
+  /// a cascade abort).
+  int64_t reassign_failures() const {
+    return reassign_failures_.load(std::memory_order_relaxed);
+  }
 
   /// Records for committed transactions (indexed by tx id; uncommitted
   /// transactions have committed == false). Only safe once driving threads
@@ -306,13 +297,16 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   /// Removes `tx` from every waiter map, pruning entries whose sets empty
   /// out (leaked empty entries grow without bound under churn).
   void DropWaiterEntries(int tx);
-  void ForceAbort(int tx, int64_t* counter, CepEvent::Kind reason);
+  /// Dooms `tx`'s attempt and counts it under `reason`: kPoAbort,
+  /// kInjectedAbort, or otherwise a cascade abort.
+  void ForceAbort(int tx, CepEvent::Kind reason);
 
   /// True iff making `tx` wait for `target`'s commit closes a wait cycle.
   bool WouldDeadlock(int tx, int target) const;
 
   VersionStore* store_;
   Options options_;
+  MetricsSink metrics_;
   KsLockManager locks_;
 
   /// Engine lock (monitor). Ordering: mu_ may be held while taking the
@@ -344,7 +338,7 @@ class CorrectExecutionProtocol : public ConcurrencyController {
 
   std::set<int> wakeups_;
   std::set<int> forced_aborts_;
-  Stats stats_;
+  std::atomic<int64_t> reassign_failures_{0};
 };
 
 /// The records of a recovery's committed transactions, indexed by tx id

@@ -31,11 +31,11 @@ KsLockOutcome KsLockManager::Acquire(int tx, EntityId e, KsLockMode mode) {
       // registers as a waiter with no writer to wake it, so this also
       // exercises the drivers' lost-wakeup poll guard.
       if (NONSERIAL_FAILPOINT("ks.lock_acquire")) {
-        if (metrics_ != nullptr) metrics_->lock_blocks.Add();
+        metrics_->lock_blocks.Add();
         return KsLockOutcome::kBlocked;
       }
       if (HasActiveWriterLocked(e, /*other_than=*/tx)) {
-        if (metrics_ != nullptr) metrics_->lock_blocks.Add();
+        metrics_->lock_blocks.Add();
         return KsLockOutcome::kBlocked;
       }
       if (mode == KsLockMode::kRv) {
@@ -43,7 +43,7 @@ KsLockOutcome KsLockManager::Acquire(int tx, EntityId e, KsLockMode mode) {
       } else {
         locks.r.insert(tx);
       }
-      if (metrics_ != nullptr) metrics_->lock_grants.Add();
+      metrics_->lock_grants.Add();
       return KsLockOutcome::kGranted;
     }
     case KsLockMode::kW: {
@@ -55,10 +55,8 @@ KsLockOutcome KsLockManager::Acquire(int tx, EntityId e, KsLockMode mode) {
         if (holder != tx) readers_present = true;
       }
       locks.w.insert(tx);
-      if (metrics_ != nullptr) {
-        (readers_present ? metrics_->lock_reevals : metrics_->lock_grants)
-            .Add();
-      }
+      (readers_present ? metrics_->lock_reevals : metrics_->lock_grants)
+          .Add();
       return readers_present ? KsLockOutcome::kReEval
                              : KsLockOutcome::kGranted;
     }
@@ -75,11 +73,11 @@ KsLockOutcome KsLockManager::UpgradeToRead(int tx, EntityId e) {
       << "read request without a validation lock (tx " << tx << ", entity "
       << e << ")";
   if (HasActiveWriterLocked(e, /*other_than=*/tx)) {
-    if (metrics_ != nullptr) metrics_->lock_blocks.Add();
+    metrics_->lock_blocks.Add();
     return KsLockOutcome::kBlocked;
   }
   locks.r.insert(tx);
-  if (metrics_ != nullptr) metrics_->lock_grants.Add();
+  metrics_->lock_grants.Add();
   return KsLockOutcome::kGranted;
 }
 

@@ -42,8 +42,9 @@ enum class KsLockOutcome {
 /// serializes termination itself).
 class KsLockManager {
  public:
-  /// `metrics`, when non-null, receives lock outcome counters (grants,
-  /// blocks, re-evals). Not owned; must outlive the manager.
+  /// Lock outcome counters (grants, blocks, re-evals) go to `metrics`, or
+  /// to a sink the manager owns when it is null. Not owned; must outlive
+  /// the manager.
   explicit KsLockManager(int num_entities, ProtocolMetrics* metrics = nullptr);
 
   /// Requests a lock in `mode` for `tx` on entity `e`, per the matrix.
@@ -98,7 +99,7 @@ class KsLockManager {
 
   std::vector<EntityLocks> entities_;
   std::unique_ptr<Shard[]> shards_;
-  ProtocolMetrics* metrics_;
+  MetricsSink metrics_;
 };
 
 }  // namespace nonserial

@@ -212,7 +212,7 @@ void SessionServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     if (frame.status == wire::FrameStatus::kCorrupt) {
       // A corrupt frame poisons the stream (framing is lost): report once,
       // then drop exactly this connection. Other sessions are untouched.
-      if (metrics_ != nullptr) metrics_->server_wire_errors.Add();
+      metrics_->server_wire_errors.Add();
       wire::Response response;
       response.code = StatusCode::kInvalidArgument;
       response.message = StrCat("wire: ", frame.error);
@@ -227,7 +227,7 @@ void SessionServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     if (!decoded.ok()) {
       // CRC-valid but semantically malformed: the framing survives, so the
       // error is answerable per request without closing the stream.
-      if (metrics_ != nullptr) metrics_->server_wire_errors.Add();
+      metrics_->server_wire_errors.Add();
       wire::Response response;
       response.code = decoded.code();
       response.message = decoded.message();
@@ -241,7 +241,7 @@ void SessionServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
       if (conn->queue.size() >= options_.max_queue_depth) {
         // Queue overflow: shed rather than buffer without bound. The
         // client retries later; counted with the admission sheds.
-        if (metrics_ != nullptr) metrics_->server_shed.Add();
+        metrics_->server_shed.Add();
         wire::Response response;
         response.code = StatusCode::kResourceExhausted;
         response.message = "server: request queue full; retry later";
@@ -249,10 +249,8 @@ void SessionServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
         continue;
       }
       conn->queue.push_back(std::move(request));
-      if (metrics_ != nullptr) {
-        metrics_->server_queue_depth.Record(
-            static_cast<int64_t>(conn->queue.size()));
-      }
+      metrics_->server_queue_depth.Record(
+          static_cast<int64_t>(conn->queue.size()));
       if (!conn->running) {
         conn->running = true;
         spawn = true;
@@ -282,7 +280,7 @@ void SessionServer::PumpQueue(std::shared_ptr<Connection> conn) {
       request = std::move(conn->queue.front());
       conn->queue.pop_front();
     }
-    if (metrics_ != nullptr) metrics_->server_requests.Add();
+    metrics_->server_requests.Add();
     wire::Response response = Execute(conn.get(), request);
     bool is_commit = request.type == wire::MsgType::kCommit;
     // The lost-ack fault the idempotency token exists for: the commit
@@ -358,7 +356,7 @@ wire::Response SessionServer::Execute(Connection* conn,
           // re-ran the transaction body first, that open attempt must not
           // double-apply — roll it back before answering.
           session->Abort();
-          if (metrics_ != nullptr) metrics_->server_retries.Add();
+          metrics_->server_retries.Add();
           response.code = StatusCode::kOk;
           response.value = committed_tx;
           break;
@@ -487,7 +485,7 @@ void SessionServer::ReclaimExpiredLeases() {
     }
   }
   for (int fd : expired) {
-    if (metrics_ != nullptr) metrics_->server_lease_expired.Add();
+    metrics_->server_lease_expired.Add();
     // The map entry goes now; the Connection object — and with it the
     // session, whose destructor rolls back any in-flight transaction and
     // releases the admission slot — dies with its last reference.

@@ -148,7 +148,7 @@ class SessionServer {
 
   Engine* engine_;
   ServerOptions options_;
-  ProtocolMetrics* metrics_;  ///< engine_->metrics(); may be null.
+  ProtocolMetrics* metrics_;  ///< engine_->metrics() (never null).
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -209,7 +209,7 @@ class Driver {
     const SimTx& script = workload_.txs[tx];
     Session* session = sessions_[tx].get();
     SpanTimeline* timeline = config_.timeline;
-    ProtocolMetrics* metrics = config_.engine.protocol.metrics;
+    ProtocolMetrics* metrics = engine_->metrics();
     if (timeline != nullptr) {
       timeline->SetLaneName(
           tx, script.name.empty() ? StrCat("tx", tx) : script.name);
@@ -232,7 +232,7 @@ class Driver {
             std::chrono::duration_cast<std::chrono::microseconds>(
                 Clock::now() - phase_mark)
                 .count();
-        if (ok && hist != nullptr) hist->Record(dur_us);
+        if (ok) hist->Record(dur_us);
         if (timeline != nullptr) {
           timeline->Add({tx, restarts, phase, phase_offset_us, dur_us, ok});
         }
@@ -242,17 +242,14 @@ class Driver {
 
       bool ok = session->Begin(specs_[tx]).ok();
       held_[tx].store(ok);
-      close_phase("validate", ok,
-                  metrics == nullptr ? nullptr : &metrics->span_validate);
+      close_phase("validate", ok, &metrics->span_validate);
       if (ok) {
         ok = Execute(script, session, &local, &known);
-        close_phase("execute", ok,
-                    metrics == nullptr ? nullptr : &metrics->span_execute);
+        close_phase("execute", ok, &metrics->span_execute);
       }
       if (ok) {
         ok = session->Commit().ok();
-        close_phase("terminate", ok,
-                    metrics == nullptr ? nullptr : &metrics->span_terminate);
+        close_phase("terminate", ok, &metrics->span_terminate);
       }
       held_[tx].store(false);
       if (ok) {
@@ -375,7 +372,8 @@ ChaosRunResult ParallelDriver::RunChaos(
   Engine engine(std::move(options));
   std::vector<std::unique_ptr<Session>> sessions =
       OpenSessions(&engine, specs.size());
-  ProtocolMetrics* metrics = config_.engine.protocol.metrics;
+  ProtocolMetrics* metrics = engine.metrics();
+  const int64_t injected_before = metrics->injected_aborts.value();
   TraceSink* observer = config_.engine.observer;
 
   FailpointRegistry& registry = FailpointRegistry::Global();
@@ -393,7 +391,6 @@ ChaosRunResult ParallelDriver::RunChaos(
     Driver driver(workload, specs, config_, &engine, sessions, recovered,
                   crash_after_us, chaos.seed + static_cast<uint64_t>(cycle));
     ParallelRunResult result = driver.Run();
-    out.injected_aborts += engine.cep()->stats().injected_aborts;
     if (final_cycle) {
       out.final_result = std::move(result);
       break;
@@ -454,7 +451,7 @@ ChaosRunResult ParallelDriver::RunChaos(
     if (chaos.checkpoint_each_cycle) {
       c.segments_reclaimed = wal->CompactTo(rec);
       c.post_compaction_records = static_cast<int64_t>(wal->size());
-      if (metrics != nullptr) metrics->checkpoint_compactions.Add();
+      metrics->checkpoint_compactions.Add();
       if (observer != nullptr) {
         TraceEvent event;
         event.kind = TraceEvent::Kind::kCheckpoint;
@@ -469,18 +466,17 @@ ChaosRunResult ParallelDriver::RunChaos(
     } else {
       c.post_compaction_records = static_cast<int64_t>(wal->size());
     }
-    if (metrics != nullptr) {
-      metrics->crash_restarts.Add();
-      metrics->recovered_txs.Add(newly_recovered);
-      metrics->recovery_frames_scanned.Add(rec.frames_scanned);
-      metrics->recovery_frames_truncated.Add(rec.frames_truncated);
-      metrics->recovery_frames_salvaged.Add(rec.frames_salvaged);
-      metrics->recovery_micros.Record(rec.recovery_micros);
-    }
+    metrics->crash_restarts.Add();
+    metrics->recovered_txs.Add(newly_recovered);
+    metrics->recovery_frames_scanned.Add(rec.frames_scanned);
+    metrics->recovery_frames_truncated.Add(rec.frames_truncated);
+    metrics->recovery_frames_salvaged.Add(rec.frames_salvaged);
+    metrics->recovery_micros.Record(rec.recovery_micros);
     c.recovered_snapshot = rec.store->LatestCommittedSnapshot();
     out.cycles.push_back(std::move(c));
   }
   out.leaked_waiters = engine.cep()->WaiterFootprint();
+  out.injected_aborts = metrics->injected_aborts.value() - injected_before;
   for (const auto& [name, spec] : chaos.failpoints) registry.Disarm(name);
   sessions.clear();
   engine.Shutdown();

@@ -69,9 +69,8 @@ struct ParallelDriverConfig {
   /// Per-transaction phase spans in wall-clock µs on a shared timeline
   /// (Chrome trace export, see common/report.h). The timeline's epoch is
   /// its construction time, so one timeline can span all cycles of a chaos
-  /// run. Not owned; null disables span recording. With
-  /// engine.protocol.metrics set, completed phases also feed its span_*
-  /// histograms.
+  /// run. Not owned; null disables span recording. Completed phases feed
+  /// the span_* histograms of the engine's sink either way.
   SpanTimeline* timeline = nullptr;
   /// Fault-injection mode: storms run whenever it is enabled; crash cycles
   /// and failpoints only under RunChaos.

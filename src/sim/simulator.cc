@@ -70,9 +70,11 @@ namespace {
 class Runner {
  public:
   Runner(const SimWorkload& workload, const SimConfig& config,
-         VersionStore* store, ConcurrencyController* controller)
+         ProtocolMetrics* metrics, VersionStore* store,
+         ConcurrencyController* controller)
       : workload_(workload),
         config_(config),
+        metrics_(metrics),
         store_(store),
         controller_(controller) {
     runtimes_.resize(workload.txs.size());
@@ -194,7 +196,7 @@ class Runner {
     int ops_this_attempt = 0;
     SimTime blocked_since = -1;
     // Phase boundaries of the current attempt, in simulated ticks (-1 =
-    // phase not entered yet). Feed the SimConfig::metrics span histograms.
+    // phase not entered yet). Feed the span histograms of the sink.
     SimTime attempt_start = -1;
     SimTime exec_start = -1;
     SimTime commit_start = -1;
@@ -217,9 +219,7 @@ class Runner {
       case ReqResult::kGranted: {
         rt.st = St::kRunning;
         if (result_.tx[tx].begin_time < 0) result_.tx[tx].begin_time = now_;
-        if (config_.metrics != nullptr) {
-          config_.metrics->span_validate.Record(now_ - rt.attempt_start);
-        }
+        metrics_->span_validate.Record(now_ - rt.attempt_start);
         rt.exec_start = now_;
         int gen = rt.attempt;
         Schedule(now_, [this, tx, gen] { Advance(tx, gen); });
@@ -317,8 +317,8 @@ class Runner {
     TxRuntime& rt = runtimes_[tx];
     if (rt.commit_start < 0) {
       rt.commit_start = now_;
-      if (config_.metrics != nullptr && rt.exec_start >= 0) {
-        config_.metrics->span_execute.Record(now_ - rt.exec_start);
+      if (rt.exec_start >= 0) {
+        metrics_->span_execute.Record(now_ - rt.exec_start);
       }
     }
     switch (controller_->Commit(tx)) {
@@ -326,10 +326,8 @@ class Runner {
         rt.st = St::kCommitted;
         result_.tx[tx].committed = true;
         result_.tx[tx].commit_time = now_;
-        if (config_.metrics != nullptr) {
-          config_.metrics->span_terminate.Record(now_ - rt.commit_start);
-          config_.metrics->span_commit_wait.Record(rt.commit_blocked);
-        }
+        metrics_->span_terminate.Record(now_ - rt.commit_start);
+        metrics_->span_commit_wait.Record(rt.commit_blocked);
         history_log_.push_back(
             {true, tx, OpKind::kRead, kInvalidEntity, rt.attempt});
         break;
@@ -431,6 +429,7 @@ class Runner {
 
   const SimWorkload& workload_;
   const SimConfig& config_;
+  ProtocolMetrics* metrics_;
   VersionStore* store_;
   ConcurrencyController* controller_;
   std::vector<HistoryEvent> history_log_;
@@ -450,7 +449,7 @@ SimResult Simulator::Run(
     std::shared_ptr<ConcurrencyController>* controller_out) const {
   auto store = std::make_shared<VersionStore>(workload.initial);
   std::shared_ptr<ConcurrencyController> controller = factory(store.get());
-  Runner runner(workload, config_, store.get(), controller.get());
+  Runner runner(workload, config_, metrics(), store.get(), controller.get());
   SimResult result = runner.Run();
   if (store_out != nullptr) *store_out = store;
   if (controller_out != nullptr) *controller_out = controller;

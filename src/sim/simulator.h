@@ -63,9 +63,10 @@ struct SimConfig {
   SimTime restart_backoff = 25;   ///< Delay before an aborted attempt retries.
   int max_restarts = 10000;       ///< Give-up threshold per transaction.
   SimTime max_time = 500'000'000; ///< Watchdog against livelock.
-  /// Optional sink for per-phase spans (span_validate / span_execute /
+  /// Sink for per-phase spans (span_validate / span_execute /
   /// span_commit_wait / span_terminate), in simulated ticks. Only phases of
-  /// committed attempts are recorded. Not owned.
+  /// committed attempts are recorded. Not owned; null counts into a sink
+  /// the Simulator owns (Simulator::metrics()).
   ProtocolMetrics* metrics = nullptr;
 };
 
@@ -122,7 +123,8 @@ struct SimResult {
 /// — are measured in simulated time.
 class Simulator {
  public:
-  explicit Simulator(SimConfig config = SimConfig()) : config_(config) {}
+  explicit Simulator(SimConfig config = SimConfig())
+      : config_(config), metrics_(config.metrics) {}
 
   /// Runs the workload to completion (or watchdog expiry) and returns the
   /// metrics. The version store used during the run is exposed through
@@ -132,8 +134,12 @@ class Simulator {
                 std::shared_ptr<ConcurrencyController>* controller_out =
                     nullptr) const;
 
+  /// The sink the span histograms are recorded into (never null).
+  ProtocolMetrics* metrics() const { return metrics_.get(); }
+
  private:
   SimConfig config_;
+  MetricsSink metrics_;
 };
 
 /// Builds per-transaction planned-op lists (for predicate-wise 2PL).

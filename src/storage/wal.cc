@@ -407,8 +407,8 @@ void WriteAheadLog::LogCrashMarker() {
     retire_cv_.notify_all();
   }
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.group_staged_dropped += staged_dropped;
-  stats_.group_commit_failed_acks += failed_acks;
+  metrics_->group_staged_dropped.Add(staged_dropped);
+  metrics_->group_commit_failed_acks.Add(failed_acks);
   // Restart replaces the medium: clear the sticky failure and physically
   // drop a torn tail so the marker (and everything after it) extends a
   // clean frame sequence.
@@ -425,7 +425,7 @@ bool WriteAheadLog::WaitDurable(const WalCommitHandle& handle) const {
   if (state == nullptr) return true;
   std::unique_lock<std::mutex> stage_lock(stage_mu_);
   if (!state->done) {
-    ack_stalls_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->group_commit_stalls.Add();
     retire_cv_.wait(stage_lock, [&state] { return state->done; });
   }
   return state->ok;
@@ -610,10 +610,10 @@ void WriteAheadLog::FlushBatch(std::vector<StagedFrame> batch) {
       }
     }
     if (ok) DeviceFlushLocked();
-    ++stats_.group_commit_batches;
-    stats_.group_commit_frames += static_cast<int64_t>(batch.size());
-    stats_.group_commit_commits += commits;
-    if (!ok) stats_.group_commit_failed_acks += commits;
+    metrics_->group_commit_batches.Add();
+    metrics_->group_commit_frames.Add(static_cast<int64_t>(batch.size()));
+    metrics_->group_commit_commits.Add(commits);
+    if (!ok) metrics_->group_commit_failed_acks.Add(commits);
   }
   if (TraceSink* sink = observer_.load(std::memory_order_acquire)) {
     TraceEvent event;
@@ -641,7 +641,7 @@ void WriteAheadLog::RetireFrames(
 }
 
 void WriteAheadLog::DeviceFlushLocked() {
-  ++stats_.device_flushes;
+  metrics_->wal_device_flushes.Add();
   const int64_t us = flush_us_.load(std::memory_order_relaxed);
   if (us <= 0) return;
   // Busy-wait: models the storage barrier's latency deterministically —
@@ -771,7 +771,6 @@ WalStats WriteAheadLog::stats() const {
   WalStats s = stats_;
   s.segments = static_cast<int64_t>(segments_.size());
   s.media_failed = media_failed_;
-  s.group_commit_stalls = ack_stalls_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "model/state.h"
 #include "predicate/value.h"
@@ -154,20 +155,6 @@ struct WalStats {
   int64_t lost_segments = 0;
   int64_t dropped_records = 0;  ///< Appends swallowed by a failed medium.
   bool media_failed = false;    ///< Sticky write failure until restart.
-  // Commit-path pipeline (see EnableGroupCommit / set_flush_us).
-  int64_t device_flushes = 0;           ///< Simulated device-flush ops paid:
-                                        ///< one per commit (sync) or one per
-                                        ///< batch (group commit).
-  int64_t group_commit_batches = 0;     ///< Batches flushed by the writer.
-  int64_t group_commit_frames = 0;      ///< Frames flushed via batches.
-  int64_t group_commit_commits = 0;     ///< Commit records flushed via
-                                        ///< batches (acks resolved).
-  int64_t group_commit_stalls = 0;      ///< Commit acks that had to block
-                                        ///< on a flush epoch.
-  int64_t group_commit_failed_acks = 0; ///< Acks failed: media fault in the
-                                        ///< batch or a crash discarded it.
-  int64_t group_staged_dropped = 0;     ///< Staged frames lost to a crash
-                                        ///< restart (volatile buffer).
 };
 
 /// Durability acknowledgment for one commit record. Obtained from
@@ -317,6 +304,14 @@ class WriteAheadLog {
   /// busy-wait models a storage barrier; 0 (default) disables it.
   void set_flush_us(int64_t us);
 
+  /// Counts the commit path into `metrics` from now on: device flushes,
+  /// group-commit batches, frames, commits, ack stalls and failed acks, and
+  /// staged frames a crash dropped. Not owned; nullptr returns to the
+  /// sink the log owns. Safe while loggers run.
+  void SetMetrics(ProtocolMetrics* metrics) { metrics_.Attach(metrics); }
+  /// The sink the commit path counts into (never null).
+  ProtocolMetrics* metrics() const { return metrics_.get(); }
+
   /// Attaches a trace sink; the writer emits a kWalBatchFlush event per
   /// batch (frames, commits, stall count, flush epoch). Pass nullptr to
   /// detach. The sink must outlive the log or the next SetObserver call.
@@ -464,7 +459,7 @@ class WriteAheadLog {
   std::thread writer_;
   std::atomic<int64_t> flush_us_{0};
   std::atomic<TraceSink*> observer_{nullptr};
-  mutable std::atomic<int64_t> ack_stalls_{0};  ///< WaitDurable blocks seen.
+  MetricsSink metrics_;
 };
 
 }  // namespace nonserial

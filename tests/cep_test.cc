@@ -94,7 +94,7 @@ TEST_F(CepTest, UnsatisfiableValidationWaitsForNewVersions) {
   cep_.Register(0, Profile("reader", Range(0, 90, 100)));
   cep_.Register(1, Profile("writer", Predicate::True()));
   EXPECT_EQ(cep_.Begin(0), ReqResult::kBlocked);
-  EXPECT_GT(cep_.stats().validation_retries, 0);
+  EXPECT_GT(cep_.metrics()->validation_fails.value(), 0);
   // A sibling writes a satisfying version.
   ASSERT_EQ(cep_.Begin(1), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(1, 0, 95), ReqResult::kGranted);
@@ -136,8 +136,8 @@ TEST_F(CepTest, ReEvalReassignsUnreadValidatedReader) {
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(0, 0, 77), ReqResult::kGranted);
   cep_.WriteDone(0, 0);
-  EXPECT_EQ(cep_.stats().reassigns, 1);
-  EXPECT_EQ(cep_.stats().po_aborts, 0);
+  EXPECT_EQ(cep_.metrics()->reassigns.value(), 1);
+  EXPECT_EQ(cep_.metrics()->po_aborts.value(), 0);
   Value v = 0;
   ASSERT_EQ(cep_.Read(1, 0, &v), ReqResult::kGranted);
   EXPECT_EQ(v, 77);  // The predecessor's version, as the partial order demands.
@@ -154,7 +154,7 @@ TEST_F(CepTest, ReEvalAbortsReaderThatReadStaleVersion) {
   EXPECT_EQ(v, 50);
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(0, 0, 77), ReqResult::kGranted);
-  EXPECT_EQ(cep_.stats().po_aborts, 1);
+  EXPECT_EQ(cep_.metrics()->po_aborts.value(), 1);
   EXPECT_EQ(cep_.TakeForcedAborts(), (std::vector<int>{1}));
   cep_.WriteDone(0, 0);
   cep_.Abort(1);
@@ -175,7 +175,7 @@ TEST_F(CepTest, NonPredecessorWriteDoesNotDisturbReader) {
   ASSERT_EQ(cep_.Begin(1), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(1, 0, 99), ReqResult::kGranted);
   cep_.WriteDone(1, 0);
-  EXPECT_EQ(cep_.stats().po_aborts, 0);
+  EXPECT_EQ(cep_.metrics()->po_aborts.value(), 0);
   EXPECT_TRUE(cep_.TakeForcedAborts().empty());
   EXPECT_EQ(cep_.Commit(0), ReqResult::kGranted);
 }
@@ -218,7 +218,7 @@ TEST_F(CepTest, AbortCascadesToReaderOfDeadVersion) {
   ASSERT_EQ(cep_.Read(1, 0, &v), ReqResult::kGranted);
   EXPECT_EQ(v, 95);
   cep_.Abort(0);  // t1 dies; t2 consumed its version.
-  EXPECT_EQ(cep_.stats().cascade_aborts, 1);
+  EXPECT_EQ(cep_.metrics()->cascade_aborts.value(), 1);
   EXPECT_EQ(cep_.TakeForcedAborts(), (std::vector<int>{1}));
 }
 
@@ -256,7 +256,7 @@ TEST_F(CepTest, AbortCascadesWhenAnyReadEntityHoldsDeadVersion) {
   ASSERT_EQ(cep_.Read(1, 1, &v), ReqResult::kGranted);  // Reads y only.
   EXPECT_EQ(v, 95);
   cep_.Abort(0);
-  EXPECT_EQ(cep_.stats().cascade_aborts, 1);
+  EXPECT_EQ(cep_.metrics()->cascade_aborts.value(), 1);
   EXPECT_EQ(cep_.TakeForcedAborts(), (std::vector<int>{1}));
   // And the doomed attempt cannot commit even if the driver races to it.
   EXPECT_EQ(cep_.Commit(1), ReqResult::kAborted);
@@ -332,7 +332,7 @@ TEST_F(CepTest, CommitWaitsResolveAfterAuthorsCommit) {
 TEST_F(CepTest, StatsTrackValidations) {
   cep_.Register(0, Profile("t0", Range(0, 0, 100)));
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
-  EXPECT_EQ(cep_.stats().validations, 1);
+  EXPECT_EQ(cep_.metrics()->validations.value(), 1);
 }
 
 TEST_F(CepTest, ReassignFailureAbortsReader) {
@@ -350,8 +350,8 @@ TEST_F(CepTest, ReassignFailureAbortsReader) {
   ASSERT_EQ(cep_.Read(1, 1, &v), ReqResult::kGranted);  // y pinned at 50.
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(0, 0, 90), ReqResult::kGranted);
-  EXPECT_EQ(cep_.stats().reassigns, 1);
-  EXPECT_EQ(cep_.stats().reassign_failures, 1);
+  EXPECT_EQ(cep_.metrics()->reassigns.value(), 1);
+  EXPECT_EQ(cep_.reassign_failures(), 1);
   EXPECT_EQ(cep_.TakeForcedAborts(), (std::vector<int>{1}));
 }
 
@@ -415,8 +415,8 @@ TEST(CepStarvationTest, HotEntityWriteStormCannotLivelockValidation) {
   storm_on = false;
   // Begin terminated (no livelock) and the starvation fallback engaged.
   EXPECT_EQ(r, ReqResult::kGranted);
-  EXPECT_GE(cep.stats().validation_rescans, 4);
-  EXPECT_GE(cep.stats().validation_starved, 1);
+  EXPECT_GE(cep.metrics()->validation_rescans.value(), 4);
+  EXPECT_GE(cep.metrics()->validation_starved.value(), 1);
   EXPECT_GE(metrics.validation_starved.value(), 1);
 
   // The fallback assignment is a real one: the victim executes to commit.
@@ -476,10 +476,10 @@ TEST(CepDeltaRevalidationTest, RescansAfterInterferenceAreDeltaSolves) {
   EXPECT_EQ(storm_left, 0);
   // Both invalidated passes rescanned, and the rescans were delta solves —
   // never the in-lock starvation fallback.
-  EXPECT_GE(cep.stats().validation_rescans, 2);
-  EXPECT_GE(cep.stats().delta_rescans, 1);
-  EXPECT_EQ(cep.stats().delta_fallbacks, 0);
-  EXPECT_EQ(cep.stats().validation_starved, 0);
+  EXPECT_GE(cep.metrics()->validation_rescans.value(), 2);
+  EXPECT_GE(cep.metrics()->delta_rescans.value(), 1);
+  EXPECT_EQ(cep.metrics()->delta_fallbacks.value(), 0);
+  EXPECT_EQ(cep.metrics()->validation_starved.value(), 0);
   EXPECT_GE(metrics.delta_rescans.value(), 1);
 
   // The delta-found assignment is a real one: the victim reads a version of

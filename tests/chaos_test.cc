@@ -206,7 +206,7 @@ TEST(ChaosTest, GroupCommitSurvivesCrashCyclesMediaFaultsAndCompaction) {
     EXPECT_TRUE(verdict.ok()) << "cycle " << i << ": " << verdict.ToString();
   }
   // The pipeline actually carried the log: batched flushes happened, and
-  // the driver folded the counters into the metrics sink.
+  // the WAL counted them into the engine's sink.
   EXPECT_GT(metrics.group_commit_batches.value(), 0);
   EXPECT_GT(metrics.group_commit_commits.value(), 0);
   EXPECT_LE(metrics.wal_device_flushes.value(),

@@ -204,8 +204,7 @@ TEST(CrashRecoveryFuzzTest, CrashBetweenBatchStageAndBatchFlushLosesOnlyStagedWo
       EXPECT_FALSE(wal.WaitDurable(staged_handles[i]))
           << "staged commit " << i << " must fail at the crash";
     }
-    WalStats stats = wal.stats();
-    EXPECT_EQ(stats.group_commit_failed_acks,
+    EXPECT_EQ(wal.metrics()->group_commit_failed_acks.value(),
               static_cast<int64_t>(staged_handles.size()));
 
     RecoveryResult rec = wal.Recover();

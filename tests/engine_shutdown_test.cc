@@ -45,7 +45,7 @@ TEST(EngineShutdownTest, ShutdownIsIdempotentAcrossOwners) {
     engine.Shutdown();
   }
   // Destructor is yet another owner; none of the four teardowns may
-  // double-join the writer thread or double-fold the stats.
+  // double-join the writer thread.
   engine.Shutdown();
 }
 

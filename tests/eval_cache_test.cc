@@ -48,12 +48,12 @@ TEST(EvalCacheTest, SecondProbeWithSameValuesHits) {
   CachedPredicate cached(predicate, &cache);
   ValueVector values = {10, 20, 30};
   EXPECT_TRUE(cached.EvalClause(predicate, 0, values));
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 0);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 1);
   EXPECT_TRUE(cached.EvalClause(predicate, 0, values));
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_DOUBLE_EQ(cache.HitRate(), 0.5);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 1);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 1);
+  EXPECT_DOUBLE_EQ(cache.metrics()->cache_hit_rate(), 0.5);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -68,14 +68,14 @@ TEST(EvalCacheTest, EpochBumpInvalidatesEntriesOverThatEntity) {
   // counts an invalidation (the recomputed result is still correct).
   cache.BumpEntity(1);
   EXPECT_TRUE(cached.EvalClause(predicate, 3, values));
-  EvalCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_EQ(stats.invalidations, 1);
-  EXPECT_EQ(stats.epoch_bumps, 1);
+  const ProtocolMetrics& stats = *cache.metrics();
+  EXPECT_EQ(stats.cache_hits.value(), 0);
+  EXPECT_EQ(stats.cache_misses.value(), 2);
+  EXPECT_EQ(stats.cache_invalidations.value(), 1);
+  EXPECT_EQ(cache.epoch_bumps(), 1);
   // The refreshed entry carries the new epoch: hits again.
   EXPECT_TRUE(cached.EvalClause(predicate, 3, values));
-  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 1);
 }
 
 TEST(EvalCacheTest, BumpOfUnrelatedEntityKeepsEntriesFresh) {
@@ -86,8 +86,8 @@ TEST(EvalCacheTest, BumpOfUnrelatedEntityKeepsEntriesFresh) {
   EXPECT_TRUE(cached.EvalClause(predicate, 3, values));  // Over y, z.
   cache.BumpEntity(0);  // x is not in clause 3's object.
   EXPECT_TRUE(cached.EvalClause(predicate, 3, values));
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().invalidations, 0);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 1);
+  EXPECT_EQ(cache.metrics()->cache_invalidations.value(), 0);
 }
 
 TEST(EvalCacheTest, InvalidateAllAgesEveryEntry) {
@@ -103,9 +103,9 @@ TEST(EvalCacheTest, InvalidateAllAgesEveryEntry) {
     EXPECT_EQ(cached.EvalClause(predicate, c, values),
               predicate.clauses()[c].Eval(values));
   }
-  EvalCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.invalidations, cached.num_clauses());
+  const ProtocolMetrics& stats = *cache.metrics();
+  EXPECT_EQ(stats.cache_hits.value(), 0);
+  EXPECT_EQ(stats.cache_invalidations.value(), cached.num_clauses());
 }
 
 TEST(EvalCacheTest, OutOfRangeEntityBumpInvalidatesConservatively) {
@@ -116,8 +116,8 @@ TEST(EvalCacheTest, OutOfRangeEntityBumpInvalidatesConservatively) {
   cached.EvalClause(predicate, 0, values);
   cache.BumpEntity(999);  // Beyond the epoch table: global bump.
   cached.EvalClause(predicate, 0, values);
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().invalidations, 1);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 0);
+  EXPECT_EQ(cache.metrics()->cache_invalidations.value(), 1);
 }
 
 TEST(EvalCacheTest, MirrorsCountersIntoProtocolMetrics) {
@@ -145,8 +145,8 @@ TEST(EvalCacheTest, ClearDropsEntriesAndCounters) {
   cached.EvalClause(predicate, 0, values);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().misses, 0);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 0);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 0);
 }
 
 TEST(EvalCacheStripeTest, StripeAgreesWithScalarOnRandomValues) {
@@ -189,22 +189,23 @@ TEST(EvalCacheStripeTest, StripeAndScalarShareEntries) {
     probe[1] = y;
     cached.EvalClause(predicate, 3, probe);
   }
-  EXPECT_EQ(cache.stats().misses, 3);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 3);
   std::vector<uint8_t> out(stripe.size());
   cached.EvalClauseStripe(predicate, 3, values, /*striped_entity=*/1,
                           stripe.data(), 3, out.data());
-  EXPECT_EQ(cache.stats().misses, 3) << "stripe probe missed scalar entries";
-  EXPECT_EQ(cache.stats().hits, 3);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 3)
+      << "stripe probe missed scalar entries";
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 3);
   // And the reverse: a fresh stripe inserts entries the scalar path hits.
   const std::vector<Value> fresh = {40, 45};
   cached.EvalClauseStripe(predicate, 3, values, 1, fresh.data(), 2,
                           out.data());
-  EXPECT_EQ(cache.stats().misses, 5);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 5);
   ValueVector probe = values;
   probe[1] = 40;
   cached.EvalClause(predicate, 3, probe);
-  EXPECT_EQ(cache.stats().hits, 4);
-  EXPECT_EQ(cache.stats().misses, 5);
+  EXPECT_EQ(cache.metrics()->cache_hits.value(), 4);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), 5);
 }
 
 // Regression: EnsureEntities used to swap the epoch array non-atomically,
@@ -261,10 +262,10 @@ TEST(EvalCacheTest, StructurallyIdenticalPredicatesShareEntries) {
   CachedPredicate cached_b(b, &cache);
   ValueVector values = {10, 20, 30};
   cached_a.Eval(a, values);
-  int64_t misses_after_a = cache.stats().misses;
+  int64_t misses_after_a = cache.metrics()->cache_misses.value();
   cached_b.Eval(b, values);
-  EXPECT_EQ(cache.stats().misses, misses_after_a);
-  EXPECT_GT(cache.stats().hits, 0);
+  EXPECT_EQ(cache.metrics()->cache_misses.value(), misses_after_a);
+  EXPECT_GT(cache.metrics()->cache_hits.value(), 0);
 }
 
 }  // namespace

@@ -275,7 +275,7 @@ TEST(IncrementalVerifyFuzzTest, RecoveryReplaysAgreeWithAndWithoutCache) {
     }
     // The k=1 replay re-verified the identical full-log history, so the
     // shared cache must have served hits.
-    EXPECT_GT(cache.stats().hits, 0) << "seed " << seed;
+    EXPECT_GT(cache.metrics()->cache_hits.value(), 0) << "seed " << seed;
   }
 }
 

@@ -60,6 +60,11 @@ TEST(HistogramTest, ZeroAndLargeValues) {
   EXPECT_EQ(h.max(), int64_t{1} << 40);
   EXPECT_EQ(h.ApproxPercentile(1.0), h.max());
   EXPECT_FALSE(h.ToString().empty());
+  // A bucket's upper bound can exceed every sample in it.
+  Histogram one;
+  one.Record(5);
+  EXPECT_EQ(one.ApproxPercentile(0.5), 5);
+  EXPECT_EQ(one.ApproxPercentile(0.99), 5);
 }
 
 TEST(ProtocolMetricsTest, SummaryMentionsActivity) {

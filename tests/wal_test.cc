@@ -544,13 +544,14 @@ TEST(WalTest, GroupCommitFlushesBatchesAndAcksCommits) {
   EXPECT_TRUE(wal.WaitDurable(h1));
   wal.Flush();
 
-  WalStats stats = wal.stats();
-  EXPECT_GE(stats.group_commit_batches, 1);
-  EXPECT_EQ(stats.group_commit_frames, 7);  // 3 appends + 2 payloads + 2 commits.
-  EXPECT_EQ(stats.group_commit_commits, 2);
-  EXPECT_EQ(stats.group_commit_failed_acks, 0);
+  const ProtocolMetrics& m = *wal.metrics();
+  EXPECT_GE(m.group_commit_batches.value(), 1);
+  // 3 appends + 2 payloads + 2 commits.
+  EXPECT_EQ(m.group_commit_frames.value(), 7);
+  EXPECT_EQ(m.group_commit_commits.value(), 2);
+  EXPECT_EQ(m.group_commit_failed_acks.value(), 0);
   // One flush per batch, never per commit.
-  EXPECT_LE(stats.device_flushes, stats.group_commit_batches);
+  EXPECT_LE(m.wal_device_flushes.value(), m.group_commit_batches.value());
 
   // The durable image is indistinguishable from a sync-mode log: same
   // records, same recovery.
@@ -639,9 +640,8 @@ TEST(WalTest, WriteErrorMidBatchFailsEveryAckInTheBatch) {
     EXPECT_FALSE(wal.WaitDurable(hb));
     wal.Flush();
   }
-  WalStats stats = wal.stats();
-  EXPECT_TRUE(stats.media_failed);
-  EXPECT_EQ(stats.group_commit_failed_acks, 2);
+  EXPECT_TRUE(wal.stats().media_failed);
+  EXPECT_EQ(wal.metrics()->group_commit_failed_acks.value(), 2);
   EXPECT_EQ(wal.size(), 0u);  // Nothing reached the medium.
 
   // Crash restart replaces the medium; the pipeline resumes cleanly.
@@ -667,9 +667,8 @@ TEST(WalTest, CrashDiscardsStagedFramesAndFailsTheirAcks) {
   // buffer is volatile, so the frames are gone and the ack fails.
   wal.LogCrashMarker();
   EXPECT_FALSE(wal.WaitDurable(h));
-  WalStats stats = wal.stats();
-  EXPECT_EQ(stats.group_staged_dropped, 3);
-  EXPECT_EQ(stats.group_commit_failed_acks, 1);
+  EXPECT_EQ(wal.metrics()->group_staged_dropped.value(), 3);
+  EXPECT_EQ(wal.metrics()->group_commit_failed_acks.value(), 1);
   RecoveryResult rec = wal.Recover();
   EXPECT_TRUE(rec.committed.empty());
   EXPECT_EQ(rec.store->LatestCommittedSnapshot(), (ValueVector{0}));

@@ -254,7 +254,7 @@ TEST_F(WireResilienceTest, CommittedSessionTransactionsRetire) {
   // Every committed, independent transaction is immediately eligible: the
   // live scan set stays O(1) instead of O(total transactions).
   EXPECT_EQ(metrics_.engine_retired_tx.value(), kTxs);
-  EXPECT_EQ(engine_->cep()->stats().retired, kTxs);
+  EXPECT_EQ(engine_->metrics()->engine_retired_tx.value(), kTxs);
   for (int tx = 0; tx < kTxs; ++tx) {
     EXPECT_TRUE(engine_->controller()->IsRetired(tx)) << "tx " << tx;
   }
