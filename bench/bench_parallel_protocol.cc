@@ -71,7 +71,7 @@ Outcome RunWith(const SimWorkload& workload, int threads,
   outcome.result = driver.Run(workload, &store, &cep);
   outcome.commits_per_sec = outcome.result.CommitsPerSecond();
   // The verifier shares the engine's cache: the post-hoc correctness check
-  // re-probes evaluations validation already paid for.
+  // re-probes the output-condition evaluations commit already paid for.
   outcome.verified =
       VerifyCepHistory(workload, *cep, *store, WorkloadConstraint(workload),
                        cache)
@@ -252,7 +252,7 @@ bool Run(const BenchOptions& options, BenchReport* report) {
   for (int threads : {1, 2, 4}) {
     ProtocolMetrics metrics;
     // Fresh per configuration so the attached counters describe one run.
-    EvalCache cache(static_cast<int>(workload.initial.size()));
+    EvalCache cache;
     // Record trace events only for the 4-thread run so the tallies
     // describe one configuration, not a mixture.
     Outcome outcome = RunWith(workload, threads, &metrics,

@@ -16,9 +16,9 @@ using namespace nonserial;
 namespace {
 
 /// Prints events as they happen.
-class PrintingObserver : public CepObserver {
+class PrintingObserver : public TraceSink {
  public:
-  void OnEvent(const CepEvent& event) override {
+  void OnEvent(const TraceEvent& event) override {
     std::printf("    | %s\n", event.ToString().c_str());
   }
 };

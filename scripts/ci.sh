@@ -88,12 +88,12 @@ python3 -m json.tool REPORT_recovery.json > /dev/null
 cat REPORT_recovery.json
 
 echo "== hot-path gate: BENCH_eval_hotpath.json (flat path >= 3x seed) =="
-# bench_eval_hotpath exits non-zero unless the cache-native pipeline (flat
-# version slabs -> columnar candidates -> striped batch eval) beats an
-# inline reimplementation of the seed pipeline by >= 3x on the miss path
-# with bit-identical verdicts. As with the durability gate, the published
-# artifact is re-checked here so a report regression fails CI even if the
-# bench's own gate is edited.
+# bench_eval_hotpath exits non-zero unless the shipped pipeline (flat
+# version slabs -> columnar candidates -> striped batch eval, no memo)
+# beats an inline reimplementation of the seed pipeline's miss path by
+# >= 3x with bit-identical verdicts. As with the durability gate, the
+# published artifact is re-checked here so a report regression fails CI
+# even if the bench's own gate is edited.
 ./build/bench/bench_eval_hotpath --json > BENCH_eval_hotpath.json
 python3 - <<'EOF'
 import json
@@ -239,10 +239,10 @@ for bench in bench_fig2_regions bench_class_containment bench_lemma1_sat \
   echo "-- ${bench} --json"
   ./build/bench/"${bench}" --json | python3 -m json.tool > /dev/null
 done
-# The repeated-validation bench must also pass with the incremental
-# machinery disabled (the from-scratch baseline the speedups compare to).
-echo "-- bench_validation_cost --cache=off --json"
-./build/bench/bench_validation_cost --cache=off --json \
+# The repeated-validation bench must also pass with delta revalidation
+# disabled (the from-scratch baseline the speedups compare to).
+echo "-- bench_validation_cost --incremental=off --json"
+./build/bench/bench_validation_cost --incremental=off --json \
   | python3 -m json.tool > /dev/null
 
 echo "== [2/3] ThreadSanitizer build =="

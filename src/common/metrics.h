@@ -87,7 +87,8 @@ struct ProtocolMetrics {
   // Incremental verification (eval cache + delta revalidation).
   Counter cache_hits;           ///< Conjunct evaluations answered from cache.
   Counter cache_misses;         ///< Conjunct evaluations computed + inserted.
-  Counter cache_invalidations;  ///< Stale cache entries replaced/dropped.
+  Counter cache_invalidations;  ///< Cache entries dropped when a shard
+                                ///< overflowed its entry bound.
   Counter delta_rescans;        ///< Rescans solved as delta-revalidations
                                 ///< (unchanged entities pinned to their
                                 ///< previous versions).

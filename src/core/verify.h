@@ -26,9 +26,9 @@ namespace nonserial {
 ///
 /// `cache`, when non-null, memoizes the predicate-conjunct evaluations of
 /// the correctness check (see predicate/eval_cache.h). Sharing the engine's
-/// cache makes post-hoc verification re-use evaluations the protocol
-/// already performed during validation; repeated verification of the same
-/// history (crash-recovery replay cycles) hits almost entirely.
+/// cache lets post-hoc verification re-use the output-condition checks the
+/// protocol performed at commit; repeated verification of the same history
+/// (crash-recovery replay cycles) hits almost entirely.
 Status VerifyCepHistory(const SimWorkload& workload,
                         const CorrectExecutionProtocol& cep,
                         const VersionStore& store, const Predicate& constraint,

@@ -96,13 +96,11 @@ Engine::Engine(EngineOptions options)
     options_.wal->set_flush_us(options_.wal_flush_us);
     if (options_.wal_group_commit) {
       options_.wal->SetObserver(options_.observer);
-      options_.wal->EnableGroupCommit(options_.wal_group_options);
+      options_.wal->EnableGroupCommit();
     }
   }
   if (options_.protocol.eval_cache != nullptr) {
-    // Size the epoch table and count the probes into the engine's sink.
-    options_.protocol.eval_cache->EnsureEntities(
-        static_cast<int>(options_.initial.size()));
+    // Count the probes into the engine's sink.
     options_.protocol.eval_cache->SetMetrics(metrics());
   }
   BuildController(store_.get());
@@ -209,11 +207,6 @@ RecoveryResult Engine::CrashRecover(const RecoveryOptions& recovery_options,
           t.tx, CorrectExecutionProtocol::TxRecord::Recovered(t));
     }
     for (const RecoveredTx& t : rec.committed) RetireTx(t.tx);
-  }
-  // The pre-crash store generation is gone; memoized evaluations over it
-  // must not survive into the rebuilt one.
-  if (options_.protocol.eval_cache != nullptr) {
-    options_.protocol.eval_cache->InvalidateAll();
   }
   // The token table is the in-memory view of the durable kCommitToken
   // records: rebuild it from what actually survived. A token whose commit

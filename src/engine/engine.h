@@ -29,8 +29,8 @@ class Session;
 struct EngineOptions {
   /// Initial database state (one value per entity).
   ValueVector initial;
-  /// Options forwarded to the protocol engine (search mode, metrics sink,
-  /// eval cache). Pointers inside are not owned. A null metrics sink makes
+  /// Options forwarded to the protocol engine (metrics sink, eval cache,
+  /// retirement). Pointers inside are not owned. A null metrics sink makes
   /// the engine count into one it owns (Engine::metrics()).
   CorrectExecutionProtocol::Options protocol;
   /// Builds the hosted controller (protocol/registry.h). Null (the default)
@@ -44,7 +44,6 @@ struct EngineOptions {
   /// Run the WAL in group-commit mode for the engine's lifetime: enabled at
   /// construction, drained and disabled by Shutdown(). Ignored without wal.
   bool wal_group_commit = false;
-  GroupCommitOptions wal_group_options;
   /// Simulated device-flush latency forwarded to the WAL (set_flush_us).
   int64_t wal_flush_us = 0;
   /// Trace sink attached to the controller (and the WAL writer in group

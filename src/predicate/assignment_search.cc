@@ -14,7 +14,6 @@ struct SearchContext {
   const Predicate* predicate;
   const std::vector<CandidateView>* candidates;
   SearchStats* stats;
-  const CachedPredicate* cached = nullptr;  // Optional conjunct memoization.
 
   std::vector<EntityId> constrained;        // Search variable order.
   std::vector<int> choice;                  // entity -> candidate index.
@@ -36,7 +35,7 @@ struct SearchContext {
 /// determined the moment `entity` receives a value — so instead of
 /// re-walking its atoms once per candidate, it is evaluated over the whole
 /// contiguous candidate stripe in one pass (auto-vectorized compares; see
-/// predicate/batch_eval.h), through the eval cache when one is attached.
+/// predicate/batch_eval.h).
 /// Clauses with an unassigned other entity can never prune here (some atom
 /// is undetermined, so the disjunction stays viable) and are skipped
 /// entirely. The result is a per-candidate viability mask.
@@ -60,15 +59,8 @@ bool PrunedSearch(SearchContext* ctx, size_t depth) {
     }
     if (!decided) continue;
     ctx->stats->evaluations += n;
-    const Clause& clause = ctx->predicate->clauses()[clause_index];
-    if (ctx->cached != nullptr) {
-      ctx->cached->EvalClauseStripe(*ctx->predicate, clause_index,
-                                    ctx->values, entity, options.data, n,
-                                    scratch.data());
-    } else {
-      EvalClauseOverStripe(clause, ctx->values, entity, options.data, n,
-                           scratch.data());
-    }
+    EvalClauseOverStripe(ctx->predicate->clauses()[clause_index],
+                         ctx->values, entity, options.data, n, scratch.data());
     for (int32_t i = 0; i < n; ++i) mask[i] &= scratch[i];
   }
 
@@ -87,9 +79,6 @@ bool ExhaustiveSearch(SearchContext* ctx, size_t depth) {
   if (depth == ctx->constrained.size()) {
     ++ctx->stats->nodes_visited;
     ++ctx->stats->evaluations;
-    if (ctx->cached != nullptr) {
-      return ctx->cached->Eval(*ctx->predicate, ctx->values);
-    }
     return ctx->predicate->Eval(ctx->values);
   }
   EntityId entity = ctx->constrained[depth];
@@ -150,7 +139,7 @@ std::optional<std::vector<std::vector<int>>> IndexFilter(
 
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate, const std::vector<CandidateView>& candidates,
-    SearchMode mode, SearchStats* stats, const CachedPredicate* cached) {
+    SearchMode mode, SearchStats* stats) {
   if (mode == SearchMode::kIndexed) {
     // Filter candidate lists through the unit-clause "indices", run the
     // pruned search on the reduced lists, then map choices back. The
@@ -167,7 +156,7 @@ std::optional<std::vector<int>> FindSatisfyingAssignment(
       reduced.FinishEntity();
     }
     std::optional<std::vector<int>> choice = FindSatisfyingAssignment(
-        predicate, reduced, SearchMode::kPruned, stats, cached);
+        predicate, reduced, SearchMode::kPruned, stats);
     if (!choice.has_value()) return std::nullopt;
     for (size_t e = 0; e < candidates.size(); ++e) {
       (*choice)[e] = (*surviving)[e][(*choice)[e]];
@@ -180,7 +169,6 @@ std::optional<std::vector<int>> FindSatisfyingAssignment(
   ctx.predicate = &predicate;
   ctx.candidates = &candidates;
   ctx.stats = stats != nullptr ? stats : &local_stats;
-  ctx.cached = cached;
 
   int num_entities = static_cast<int>(candidates.size());
   ctx.choice.assign(num_entities, 0);
@@ -245,23 +233,21 @@ std::optional<std::vector<int>> FindSatisfyingAssignment(
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate,
     const std::vector<std::vector<Value>>& candidates, SearchMode mode,
-    SearchStats* stats, const CachedPredicate* cached) {
+    SearchStats* stats) {
   return FindSatisfyingAssignment(predicate, ViewsOfLists(candidates), mode,
-                                  stats, cached);
+                                  stats);
 }
 
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate, const CandidateBuffer& candidates,
-    SearchMode mode, SearchStats* stats, const CachedPredicate* cached) {
-  return FindSatisfyingAssignment(predicate, candidates.Views(), mode, stats,
-                                  cached);
+    SearchMode mode, SearchStats* stats) {
+  return FindSatisfyingAssignment(predicate, candidates.Views(), mode, stats);
 }
 
 std::optional<std::vector<int>> DeltaRevalidate(
     const Predicate& predicate, const std::vector<CandidateView>& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
-    SearchMode mode, SearchStats* stats, const CachedPredicate* cached,
-    DeltaStats* delta_stats) {
+    SearchMode mode, SearchStats* stats, DeltaStats* delta_stats) {
   DeltaStats local_delta;
   if (delta_stats == nullptr) delta_stats = &local_delta;
 
@@ -291,7 +277,7 @@ std::optional<std::vector<int>> DeltaRevalidate(
 
   if (pins_usable) {
     std::optional<std::vector<int>> choice =
-        FindSatisfyingAssignment(predicate, reduced, mode, stats, cached);
+        FindSatisfyingAssignment(predicate, reduced, mode, stats);
     if (choice.has_value()) {
       ++delta_stats->delta_solves;
       for (int e = 0; e < num_entities; ++e) {
@@ -305,26 +291,24 @@ std::optional<std::vector<int>> DeltaRevalidate(
   // re-solve from scratch so the overall answer matches the from-scratch
   // search — pinning only ever narrows the space, never the answer.
   ++delta_stats->delta_fallbacks;
-  return FindSatisfyingAssignment(predicate, candidates, mode, stats, cached);
+  return FindSatisfyingAssignment(predicate, candidates, mode, stats);
 }
 
 std::optional<std::vector<int>> DeltaRevalidate(
     const Predicate& predicate,
     const std::vector<std::vector<Value>>& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
-    SearchMode mode, SearchStats* stats, const CachedPredicate* cached,
-    DeltaStats* delta_stats) {
+    SearchMode mode, SearchStats* stats, DeltaStats* delta_stats) {
   return DeltaRevalidate(predicate, ViewsOfLists(candidates), prev_choice,
-                         changed, mode, stats, cached, delta_stats);
+                         changed, mode, stats, delta_stats);
 }
 
 std::optional<std::vector<int>> DeltaRevalidate(
     const Predicate& predicate, const CandidateBuffer& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
-    SearchMode mode, SearchStats* stats, const CachedPredicate* cached,
-    DeltaStats* delta_stats) {
+    SearchMode mode, SearchStats* stats, DeltaStats* delta_stats) {
   return DeltaRevalidate(predicate, candidates.Views(), prev_choice, changed,
-                         mode, stats, cached, delta_stats);
+                         mode, stats, delta_stats);
 }
 
 }  // namespace nonserial

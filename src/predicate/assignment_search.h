@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "predicate/candidate_buffer.h"
-#include "predicate/eval_cache.h"
 #include "predicate/predicate.h"
 #include "predicate/value.h"
 
@@ -55,21 +54,18 @@ struct SearchStats {
 /// call.
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate, const std::vector<CandidateView>& candidates,
-    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr);
+    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr);
 
 /// Legacy nested-vector shape (adapts each inner vector to a view).
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate,
     const std::vector<std::vector<Value>>& candidates,
-    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr);
+    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr);
 
 /// Columnar candidate arena (the validation hot path's native shape).
 std::optional<std::vector<int>> FindSatisfyingAssignment(
     const Predicate& predicate, const CandidateBuffer& candidates,
-    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr);
+    SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr);
 
 /// Counters reported by DeltaRevalidate.
 struct DeltaStats {
@@ -92,13 +88,12 @@ struct DeltaStats {
 /// not-found equivalent to FindSatisfyingAssignment over `candidates`.
 ///
 /// `prev_choice` entries of changed entities are ignored; an out-of-range
-/// previous index demotes its entity to changed. `cached` (optional)
-/// memoizes conjunct evaluations across rounds via its EvalCache.
+/// previous index demotes its entity to changed.
 std::optional<std::vector<int>> DeltaRevalidate(
     const Predicate& predicate, const std::vector<CandidateView>& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
     SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr, DeltaStats* delta_stats = nullptr);
+    DeltaStats* delta_stats = nullptr);
 
 /// Legacy nested-vector shape.
 std::optional<std::vector<int>> DeltaRevalidate(
@@ -106,14 +101,14 @@ std::optional<std::vector<int>> DeltaRevalidate(
     const std::vector<std::vector<Value>>& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
     SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr, DeltaStats* delta_stats = nullptr);
+    DeltaStats* delta_stats = nullptr);
 
 /// Columnar candidate arena.
 std::optional<std::vector<int>> DeltaRevalidate(
     const Predicate& predicate, const CandidateBuffer& candidates,
     const std::vector<int>& prev_choice, const std::set<EntityId>& changed,
     SearchMode mode = SearchMode::kPruned, SearchStats* stats = nullptr,
-    const CachedPredicate* cached = nullptr, DeltaStats* delta_stats = nullptr);
+    DeltaStats* delta_stats = nullptr);
 
 }  // namespace nonserial
 

@@ -86,16 +86,4 @@ void EvalClauseOverStripe(const Clause& clause, const ValueVector& values,
   }
 }
 
-void FingerprintStripe(uint64_t prefix, const Value* stripe, int32_t n,
-                       const Value* suffix_values, int32_t suffix_count,
-                       uint64_t* out) {
-  for (int32_t i = 0; i < n; ++i) {
-    uint64_t h = fnv::Mix(prefix, static_cast<uint64_t>(stripe[i]));
-    for (int32_t s = 0; s < suffix_count; ++s) {
-      h = fnv::Mix(h, static_cast<uint64_t>(suffix_values[s]));
-    }
-    out[i] = h;
-  }
-}
-
 }  // namespace nonserial

@@ -9,7 +9,7 @@
 namespace nonserial {
 
 /// \file
-/// Batch (stripe) predicate evaluation — the cache-native miss path.
+/// Batch (stripe) predicate evaluation — the assignment search's hot path.
 ///
 /// The assignment search spends its time answering one question shape: "for
 /// which candidate values v of entity e does clause C hold, given the other
@@ -21,41 +21,6 @@ namespace nonserial {
 /// contiguous memory that the compiler auto-vectorizes (SIMD-width compare
 /// batches), and atoms not mentioning the striped entity collapse to one
 /// scalar evaluation for the entire stripe.
-///
-/// The same file hosts the batched FNV fingerprint used by EvalCache's
-/// stripe probes: mixing is sequential per candidate, but the prefix over
-/// entities ordered before the striped one is shared, and the per-candidate
-/// tail (stripe value + suffix values) is a fixed-trip-count loop the
-/// compiler unrolls. These helpers are the single source of truth for the
-/// cache's hash constants — EvalClause and EvalClauseStripe MUST produce
-/// identical keys for identical (clause, values), or stripe probes would
-/// miss entries the scalar path inserted.
-
-namespace fnv {
-
-constexpr uint64_t kOffset = 1469598103934665603ull;
-constexpr uint64_t kPrime = 1099511628211ull;
-
-/// Mixes the 8 bytes of `v` into `h`, little-end first (classic FNV-1a).
-inline uint64_t Mix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kPrime;
-  }
-  return h;
-}
-
-/// Final avalanche (splitmix64) so shard selection uses well-mixed bits.
-inline uint64_t Avalanche(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace fnv
 
 /// out[i] |= (lhs[i] op rhs) for i in [0, n). The op switch is outside the
 /// loop; each case is a branch-free compare loop over contiguous values.
@@ -75,17 +40,6 @@ void OrCompareScalarStripe(Value lhs, CompareOp op, const Value* rhs,
 void EvalClauseOverStripe(const Clause& clause, const ValueVector& values,
                           EntityId striped_entity, const Value* stripe,
                           int32_t n, uint8_t* out);
-
-/// Batched clause fingerprints for the eval cache, one per candidate.
-///
-/// The scalar fingerprint is FNV over the clause's entity values in
-/// ascending entity order. Here `prefix` is the mix of all entity values
-/// ordered BEFORE the striped entity (precomputed once per stripe),
-/// `suffix_values[0..suffix_count)` the values ordered after it. Then
-///   out[i] = Mix(...Mix(Mix(prefix, stripe[i]), suffix_values[0])...).
-void FingerprintStripe(uint64_t prefix, const Value* stripe, int32_t n,
-                       const Value* suffix_values, int32_t suffix_count,
-                       uint64_t* out);
 
 }  // namespace nonserial
 

@@ -48,8 +48,6 @@ void CorrectExecutionProtocol::Register(int tx, TxProfile profile) {
   state.profile = std::move(profile);
   state.input_entities = state.profile.input.Entities();
   if (options_.eval_cache != nullptr) {
-    state.cached_input = std::make_shared<const CachedPredicate>(
-        state.profile.input, options_.eval_cache);
     state.cached_output = std::make_shared<const CachedPredicate>(
         state.profile.output, options_.eval_cache);
   }
@@ -195,9 +193,8 @@ void CorrectExecutionProtocol::InstallAssignment(
 bool CorrectExecutionProtocol::SolveAssignment(
     int tx, const std::map<EntityId, VersionRef>& pinned) {
   CandidateSnapshot snapshot = GatherCandidates(tx, pinned);
-  std::optional<std::vector<int>> choice = FindSatisfyingAssignment(
-      txs_[tx].profile.input, snapshot.values, options_.search_mode,
-      /*stats=*/nullptr, txs_[tx].cached_input.get());
+  std::optional<std::vector<int>> choice =
+      FindSatisfyingAssignment(txs_[tx].profile.input, snapshot.values);
   if (!choice.has_value()) return false;
   InstallAssignment(tx, snapshot, *choice);
   return true;
@@ -218,7 +215,7 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
     if (locks_.HoldsRv(tx, e)) continue;
     if (locks_.Acquire(tx, e, KsLockMode::kRv) == KsLockOutcome::kBlocked) {
       read_waiters_[e].insert(tx);
-      Emit(CepEvent::Kind::kValidationWait, tx, -1, e);
+      Emit(TraceEvent::Kind::kValidationWait, tx, -1, e);
       return ReqResult::kBlocked;
     }
   }
@@ -244,10 +241,8 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
     // The profile is immutable while an attempt is in flight (Register
     // precedes driving; Abort runs on this transaction's own thread).
     const Predicate& input = txs_[tx].profile.input;
-    const CachedPredicate* cached = txs_[tx].cached_input.get();
-    bool delta = options_.delta_revalidate && have_prev;
     std::set<EntityId> changed;
-    if (delta) {
+    if (have_prev) {
       // Only the input entities can change between passes: every other
       // entity's candidate list is the pinned initial version.
       for (EntityId e : txs_[tx].input_entities) {
@@ -262,25 +257,24 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
     SearchStats search;
     DeltaStats delta_search;
     std::optional<std::vector<int>> choice =
-        delta ? DeltaRevalidate(input, snapshot.values, prev_choice, changed,
-                                options_.search_mode, &search, cached,
-                                &delta_search)
-              : FindSatisfyingAssignment(input, snapshot.values,
-                                         options_.search_mode, &search,
-                                         cached);
+        have_prev ? DeltaRevalidate(input, snapshot.values, prev_choice,
+                                    changed, SearchMode::kPruned, &search,
+                                    &delta_search)
+                  : FindSatisfyingAssignment(input, snapshot.values,
+                                             SearchMode::kPruned, &search);
     lock.lock();
     metrics_->search_nodes.Record(search.nodes_visited);
-    if (delta) {
+    if (have_prev) {
       metrics_->delta_rescans.Add(delta_search.delta_solves);
       metrics_->delta_fallbacks.Add(delta_search.delta_fallbacks);
       if (delta_search.delta_solves > 0) {
-        Emit(CepEvent::Kind::kDeltaRevalidate, tx);
+        Emit(TraceEvent::Kind::kDeltaRevalidate, tx);
       }
     }
     if (!choice.has_value()) {
       metrics_->validation_fails.Add();
       validation_waiters_[tx] = txs_[tx].input_entities;
-      Emit(CepEvent::Kind::kValidationWait, tx);
+      Emit(TraceEvent::Kind::kValidationWait, tx);
       return ReqResult::kBlocked;
     }
     if (!SnapshotStillValid(snapshot, *choice)) {
@@ -298,7 +292,7 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
       if (!SolveAssignment(tx, {})) {
         metrics_->validation_fails.Add();
         validation_waiters_[tx] = txs_[tx].input_entities;
-        Emit(CepEvent::Kind::kValidationWait, tx);
+        Emit(TraceEvent::Kind::kValidationWait, tx);
         return ReqResult::kBlocked;
       }
       return GrantValidation(tx);
@@ -319,7 +313,7 @@ ReqResult CorrectExecutionProtocol::GrantValidation(int tx) {
   // waiter maps and a poll-driven retry (rather than a wakeup) got it
   // here; drop the stale registrations so the maps stay tight.
   DropWaiterEntries(tx);
-  Emit(CepEvent::Kind::kValidated, tx);
+  Emit(TraceEvent::Kind::kValidated, tx);
   return ReqResult::kGranted;
 }
 
@@ -344,7 +338,7 @@ ReqResult CorrectExecutionProtocol::Read(int tx, EntityId e, Value* out) {
   }
   *out = state.local_view[e];
   state.reads_done.insert(e);
-  Emit(CepEvent::Kind::kRead, tx, -1, e, *out);
+  Emit(TraceEvent::Kind::kRead, tx, -1, e, *out);
   return ReqResult::kGranted;
 }
 
@@ -354,14 +348,10 @@ ReqResult CorrectExecutionProtocol::Write(int tx, EntityId e, Value value) {
   NONSERIAL_CHECK(state.phase == Phase::kExecuting);
   KsLockOutcome outcome = locks_.Acquire(tx, e, KsLockMode::kW);
   int index = store_->Append(e, value, tx);
-  // Epoch discipline: a version install makes memoized evaluations over
-  // this entity stale (value-keyed entries stay sound; epochs keep the
-  // cache from serving across store generations — see eval_cache.h).
-  if (options_.eval_cache != nullptr) options_.eval_cache->BumpEntity(e);
   state.own_latest[e] = index;
   state.write_log.push_back({e, value});
   state.local_view[e] = value;
-  Emit(CepEvent::Kind::kWrite, tx, -1, e, value);
+  Emit(TraceEvent::Kind::kWrite, tx, -1, e, value);
   if (outcome == KsLockOutcome::kReEval) ReEvaluate(tx, e);
   return ReqResult::kGranted;
 }
@@ -381,7 +371,7 @@ void CorrectExecutionProtocol::WriteDone(int tx, EntityId e) {
 
 void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
   metrics_->reevals.Add();
-  Emit(CepEvent::Kind::kReEval, writer, -1, e);
+  Emit(TraceEvent::Kind::kReEval, writer, -1, e);
   for (int reader : locks_.Readers(e)) {
     if (reader == writer) continue;
     TxState& r = txs_[reader];
@@ -403,7 +393,7 @@ void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
     if (!author_precedes_writer) continue;  // Figure 4: path(P, V, W).
     if (r.reads_done.contains(e)) {
       // Already read the stale version: partial-order invalidation.
-      ForceAbort(reader, CepEvent::Kind::kPoAbort);
+      ForceAbort(reader, TraceEvent::Kind::kPoAbort);
     } else {
       ReAssign(reader, writer, e);
     }
@@ -420,10 +410,10 @@ void CorrectExecutionProtocol::ReAssign(int reader, int writer, EntityId e) {
   pinned[e] = VersionRef{e, *store_->LatestIndexBy(e, writer)};
   if (!SolveAssignment(reader, pinned)) {
     reassign_failures_.fetch_add(1, std::memory_order_relaxed);
-    ForceAbort(reader, CepEvent::Kind::kCascadeAbort);
+    ForceAbort(reader, TraceEvent::Kind::kCascadeAbort);
     return;
   }
-  Emit(CepEvent::Kind::kReAssign, reader, writer, e);
+  Emit(TraceEvent::Kind::kReAssign, reader, writer, e);
 }
 
 ReqResult CorrectExecutionProtocol::Commit(int tx) {
@@ -460,7 +450,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
     if (txs_[pred].phase != Phase::kCommitted) {
       commit_waiters_[pred].insert(tx);
       metrics_->commit_waits.Add();
-      Emit(CepEvent::Kind::kCommitWait, tx, pred);
+      Emit(TraceEvent::Kind::kCommitWait, tx, pred);
       return ReqResult::kBlocked;
     }
   }
@@ -484,7 +474,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
     if (WouldDeadlock(tx, v.writer)) return ReqResult::kAborted;
     commit_waiters_[v.writer].insert(tx);
     metrics_->commit_waits.Add();
-    Emit(CepEvent::Kind::kCommitWait, tx, v.writer);
+    Emit(TraceEvent::Kind::kCommitWait, tx, v.writer);
     return ReqResult::kBlocked;
   }
   // Termination rule 3: the output condition holds on the final state.
@@ -545,7 +535,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
   // Earlier blocked attempts may have left this transaction registered as
   // a waiter; it will never look at those signals again.
   DropWaiterEntries(tx);
-  Emit(CepEvent::Kind::kCommitted, tx);
+  Emit(TraceEvent::Kind::kCommitted, tx);
   return ReqResult::kGranted;
 }
 
@@ -572,7 +562,7 @@ void CorrectExecutionProtocol::Abort(int tx) {
   std::lock_guard<std::mutex> lock(mu_);
   TxState& state = txs_[tx];
   if (state.phase == Phase::kIdle) return;
-  Emit(CepEvent::Kind::kAborted, tx);
+  Emit(TraceEvent::Kind::kAborted, tx);
   NONSERIAL_CHECK(state.phase != Phase::kCommitted)
       << "cannot abort committed transaction " << tx;
   std::vector<EntityId> written;
@@ -580,13 +570,6 @@ void CorrectExecutionProtocol::Abort(int tx) {
 
   store_->RollbackWriter(tx);
   locks_.ReleaseAll(tx);
-
-  // The rolled-back versions are gone; bump their entities' epochs so the
-  // eval cache stops treating evaluations over them as fresh.
-  if (options_.eval_cache != nullptr && !written.empty()) {
-    for (EntityId e : written) options_.eval_cache->BumpEntity(e);
-    Emit(CepEvent::Kind::kCacheInvalidate, tx);
-  }
 
   // Readers assigned one of this transaction's (now dead) versions must be
   // re-assigned, or cascade-aborted if they already consumed a dead value.
@@ -610,7 +593,7 @@ void CorrectExecutionProtocol::Abort(int tx) {
     }
     if (!uses_victim) continue;
     if (read_victim) {
-      ForceAbort(other, CepEvent::Kind::kCascadeAbort);
+      ForceAbort(other, TraceEvent::Kind::kCascadeAbort);
       continue;
     }
     // Every use is still unread; the pins (entities already read) therefore
@@ -620,21 +603,18 @@ void CorrectExecutionProtocol::Abort(int tx) {
       pinned[read_entity] = o.assigned.at(read_entity);
     }
     if (!SolveAssignment(other, pinned)) {
-      ForceAbort(other, CepEvent::Kind::kCascadeAbort);
+      ForceAbort(other, TraceEvent::Kind::kCascadeAbort);
     }
   }
 
   // Reset the attempt, keeping the registered profile (and the cached
   // clause hashes — they depend only on the profile's structure).
   TxProfile profile = std::move(state.profile);
-  std::shared_ptr<const CachedPredicate> cached_input =
-      std::move(state.cached_input);
   std::shared_ptr<const CachedPredicate> cached_output =
       std::move(state.cached_output);
   state = TxState();
   state.profile = std::move(profile);
   state.input_entities = state.profile.input.Entities();
-  state.cached_input = std::move(cached_input);
   state.cached_output = std::move(cached_output);
   state.phase = Phase::kIdle;
 
@@ -684,7 +664,7 @@ size_t CorrectExecutionProtocol::WaiterFootprint() const {
 void CorrectExecutionProtocol::InjectAbort(int tx) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tx < 0 || tx >= static_cast<int>(txs_.size())) return;
-  ForceAbort(tx, CepEvent::Kind::kInjectedAbort);
+  ForceAbort(tx, TraceEvent::Kind::kInjectedAbort);
 }
 
 CorrectExecutionProtocol::TxRecord CorrectExecutionProtocol::TxRecord::Recovered(
@@ -748,7 +728,7 @@ bool CorrectExecutionProtocol::Retire(int tx) {
   Phase phase = state.phase;
   state = TxState();
   state.phase = phase;
-  Emit(CepEvent::Kind::kRetired, tx);
+  Emit(TraceEvent::Kind::kRetired, tx);
   return true;
 }
 
@@ -810,15 +790,15 @@ bool CorrectExecutionProtocol::IsCommitted(int tx) const {
 
 void CorrectExecutionProtocol::Wake(int tx) { wakeups_.insert(tx); }
 
-void CorrectExecutionProtocol::ForceAbort(int tx, CepEvent::Kind reason) {
+void CorrectExecutionProtocol::ForceAbort(int tx, TraceEvent::Kind reason) {
   TxState& state = txs_[tx];
   if (state.phase == Phase::kIdle || state.phase == Phase::kCommitted) return;
   if (state.doomed) return;  // Already condemned (signal may be drained).
   switch (reason) {
-    case CepEvent::Kind::kPoAbort:
+    case TraceEvent::Kind::kPoAbort:
       metrics_->po_aborts.Add();
       break;
-    case CepEvent::Kind::kInjectedAbort:
+    case TraceEvent::Kind::kInjectedAbort:
       metrics_->injected_aborts.Add();
       break;
     default:

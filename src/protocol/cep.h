@@ -66,8 +66,6 @@ class CorrectExecutionProtocol : public ConcurrencyController {
  public:
   /// Engine knobs; all optional (the defaults run the plain protocol).
   struct Options {
-    /// Strategy for the satisfying-assignment search (assignment_search.h).
-    SearchMode search_mode = SearchMode::kPruned;
     /// Sink for lock/validation/abort counters; not owned. Null: the
     /// protocol counts into a sink it owns (see metrics()).
     ProtocolMetrics* metrics = nullptr;
@@ -82,17 +80,11 @@ class CorrectExecutionProtocol : public ConcurrencyController {
     /// tests deterministically interleave writes mid-validation. Null in
     /// production.
     std::function<void(int tx)> validation_interference;
-    /// Memoized conjunct-evaluation cache shared across validation rescans
-    /// and post-hoc verification (predicate/eval_cache.h). Not owned; may
-    /// be null (caching disabled). The engine bumps entity epochs on
-    /// version installs (Write) and rollbacks (Abort).
+    /// Memoized conjunct-evaluation cache for the output-condition check
+    /// at commit, shareable with post-hoc verification
+    /// (predicate/eval_cache.h). The assignment search never probes it. Not
+    /// owned; may be null (caching disabled).
     EvalCache* eval_cache = nullptr;
-    /// Re-solve invalidated optimistic validation passes as deltas: pin the
-    /// entities whose candidate lists did not change to the previously
-    /// found choice and search only the changed entities (falling back to a
-    /// full search when the pinned problem is unsatisfiable, so admission
-    /// is unchanged). Counted as delta_rescans / delta_fallbacks.
-    bool delta_revalidate = true;
     /// Transaction retirement: terminated transactions whose successors
     /// have all terminated may be dropped from the live scan set (Retire),
     /// bounding AllowableVersions / cascade-scan cost for long-lived
@@ -230,11 +222,10 @@ class CorrectExecutionProtocol : public ConcurrencyController {
     /// with the rest of the attempt state on abort — a retried attempt must
     /// re-announce its token.
     uint64_t commit_token = 0;
-    /// Precomputed clause hashes of the profile's predicates, bound to
+    /// Precomputed clause hashes of the output condition, bound to
     /// Options::eval_cache (null when caching is off). Shared_ptr so the
-    /// abort-time state reset can carry them over without rehashing; they
-    /// depend only on predicate *structure*, which Register fixed.
-    std::shared_ptr<const CachedPredicate> cached_input;
+    /// abort-time state reset can carry it over without rehashing; it
+    /// depends only on predicate *structure*, which Register fixed.
     std::shared_ptr<const CachedPredicate> cached_output;
   };
 
@@ -299,7 +290,7 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   void DropWaiterEntries(int tx);
   /// Dooms `tx`'s attempt and counts it under `reason`: kPoAbort,
   /// kInjectedAbort, or otherwise a cascade abort.
-  void ForceAbort(int tx, CepEvent::Kind reason);
+  void ForceAbort(int tx, TraceEvent::Kind reason);
 
   /// True iff making `tx` wait for `target`'s commit closes a wait cycle.
   bool WouldDeadlock(int tx, int target) const;

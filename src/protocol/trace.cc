@@ -20,8 +20,6 @@ const char* TraceEvent::KindName(Kind kind) {
       return "re-assign";
     case Kind::kDeltaRevalidate:
       return "delta-revalidate";
-    case Kind::kCacheInvalidate:
-      return "cache-invalidate";
     case Kind::kPoAbort:
       return "po-abort";
     case Kind::kCascadeAbort:

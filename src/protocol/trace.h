@@ -32,12 +32,10 @@ struct TraceEvent {
     // CEP's Figure 4 re-evaluation routine.
     kReEval,           ///< Figure 4 entered for (writer=tx, entity).
     kReAssign,         ///< `tx` re-assigned because of `other`'s write.
-    // CEP incremental verification (eval cache + delta revalidation).
+    // CEP incremental validation.
     kDeltaRevalidate,  ///< Invalidated optimistic pass re-solved as a
                        ///< delta: unchanged entities pinned to the prior
                        ///< choice, only changed entities re-searched.
-    kCacheInvalidate,  ///< Eval-cache epochs bumped for `tx`'s rolled-back
-                       ///< writes (Abort) or a whole store generation.
     kPoAbort,          ///< `tx` aborted: partial-order invalidation.
     kCascadeAbort,     ///< `tx` aborted: read a rolled-back version.
     kInjectedAbort,    ///< `tx` aborted: fault injection (chaos mode).
@@ -144,12 +142,6 @@ class TraceRecorder : public TraceSink {
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
 };
-
-/// Compatibility aliases: the trace API began CEP-only; existing code and
-/// tests keep compiling against the historical names.
-using CepEvent = TraceEvent;
-using CepObserver = TraceSink;
-using CepTraceRecorder = TraceRecorder;
 
 }  // namespace nonserial
 

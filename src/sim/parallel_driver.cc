@@ -404,15 +404,17 @@ ChaosRunResult ParallelDriver::RunChaos(
     WalStats pre_stats = wal->stats();
     c.wal_records = pre_stats.records;
     c.wal_bytes = pre_stats.bytes;
+    // Best-effort salvage: mid-log corruption (injected media faults)
+    // keeps the longest verifiable committed prefix instead of failing.
     RecoveryOptions recovery_options;
-    recovery_options.best_effort = chaos.best_effort_recovery;
+    recovery_options.best_effort = true;
     RecoveryResult rec =
         engine.CrashRecover(recovery_options, [&specs](int tx) {
           NONSERIAL_CHECK_LT(tx, static_cast<int>(specs.size()));
           return specs[tx];
         });
-    // Corruption is never silently absorbed: best-effort mode reports it
-    // (cycle flags + trace + metrics) and salvages; strict mode stops the
+    // Corruption is never silently absorbed: salvage reports it (cycle
+    // flags + trace + metrics), and a recovery that still fails stops the
     // run on the spot.
     NONSERIAL_CHECK(rec.status.ok())
         << "chaos cycle " << cycle
@@ -448,23 +450,19 @@ ChaosRunResult ParallelDriver::RunChaos(
     // Checkpoint compaction: the recovered state becomes one checkpoint
     // frame and every earlier segment is reclaimed — the log stays bounded
     // no matter how many crash cycles the run sustains.
-    if (chaos.checkpoint_each_cycle) {
-      c.segments_reclaimed = wal->CompactTo(rec);
-      c.post_compaction_records = static_cast<int64_t>(wal->size());
-      metrics->checkpoint_compactions.Add();
-      if (observer != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::kCheckpoint;
-        event.tx = cycle;
-        event.value = static_cast<Value>(rec.committed.size());
-        event.protocol = "wal";
-        observer->OnEvent(event);
-        event.kind = TraceEvent::Kind::kCompaction;
-        event.value = static_cast<Value>(c.segments_reclaimed);
-        observer->OnEvent(event);
-      }
-    } else {
-      c.post_compaction_records = static_cast<int64_t>(wal->size());
+    c.segments_reclaimed = wal->CompactTo(rec);
+    c.post_compaction_records = static_cast<int64_t>(wal->size());
+    metrics->checkpoint_compactions.Add();
+    if (observer != nullptr) {
+      TraceEvent event;
+      event.kind = TraceEvent::Kind::kCheckpoint;
+      event.tx = cycle;
+      event.value = static_cast<Value>(rec.committed.size());
+      event.protocol = "wal";
+      observer->OnEvent(event);
+      event.kind = TraceEvent::Kind::kCompaction;
+      event.value = static_cast<Value>(c.segments_reclaimed);
+      observer->OnEvent(event);
     }
     metrics->crash_restarts.Add();
     metrics->recovered_txs.Add(newly_recovered);

@@ -37,14 +37,6 @@ struct ChaosConfig {
   int aborts_per_storm = 2;
   /// Failpoints armed for the duration of the chaos run (disarmed after).
   std::vector<std::pair<std::string, FailpointSpec>> failpoints;
-  /// After each crash recovery, compact the log to a checkpoint of the
-  /// recovered state (CompactTo), so the live log stays bounded across
-  /// cycles. Off reproduces PR 2's ever-growing-log behavior.
-  bool checkpoint_each_cycle = true;
-  /// Recover with best-effort salvage: mid-log corruption (injected media
-  /// faults) keeps the longest verifiable committed prefix instead of
-  /// failing the run. With this off, a corrupt image CHECK-fails loudly.
-  bool best_effort_recovery = true;
 };
 
 /// Configuration of the multi-worker driver. Simulated think ticks become

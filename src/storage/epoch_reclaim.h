@@ -39,10 +39,6 @@ namespace nonserial {
 /// cache-line-padded cells probed from a thread-id hash, so guards from
 /// different threads do not contend on one line; a full slot array (more
 /// concurrent readers than kSlots) degrades to spinning, never to unsafety.
-///
-/// Distinct from EvalCache epochs: those invalidate *memoized predicate
-/// results* when an entity's version set changes; these epochs bound the
-/// lifetime of *retired memory*. The two never interact (DESIGN.md §4f).
 class EpochReclaimer {
  public:
   EpochReclaimer() = default;

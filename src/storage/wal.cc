@@ -22,6 +22,11 @@ using wal_format::DecodedFrame;
 using wal_format::DecodeFrame;
 using wal_format::FrameStatus;
 
+/// Upper bound on frames the group-commit writer drains into one batch; a
+/// deeper backlog rolls into the next batch (which begins flushing
+/// immediately — the pipeline, not the cap, bounds latency).
+constexpr size_t kMaxBatchFrames = 256;
+
 /// True iff any complete, CRC-valid frame starts at or after `from` — the
 /// probe that separates a torn tail (nothing valid follows the damage) from
 /// mid-log corruption (valid data survives past it). Resynchronizes on the
@@ -465,10 +470,9 @@ std::shared_ptr<WalCommitHandle::AckState> WriteAheadLog::SubmitRecord(
   return ack;
 }
 
-void WriteAheadLog::EnableGroupCommit(const GroupCommitOptions& options) {
+void WriteAheadLog::EnableGroupCommit() {
   std::lock_guard<std::mutex> lifecycle_lock(writer_lifecycle_mu_);
   std::unique_lock<std::mutex> stage_lock(stage_mu_);
-  group_options_ = options;
   if (group_enabled_) return;
   if (writer_.joinable()) {
     // A previously stopped writer: it has already cleared group_enabled_
@@ -553,8 +557,7 @@ void WriteAheadLog::WriterLoop() {
         group_enabled_ = false;
         return;
       }
-      const size_t take =
-          std::min(staging_.size(), group_options_.max_batch_frames);
+      const size_t take = std::min(staging_.size(), kMaxBatchFrames);
       batch.assign(std::make_move_iterator(staging_.begin()),
                    std::make_move_iterator(staging_.begin() + take));
       staging_.erase(staging_.begin(),

@@ -176,14 +176,6 @@ class WalCommitHandle {
   std::shared_ptr<AckState> state_;
 };
 
-/// Knobs for the pipelined group-commit writer (EnableGroupCommit).
-struct GroupCommitOptions {
-  /// Upper bound on frames drained into one batch; a deeper backlog rolls
-  /// into the next batch (which begins flushing immediately — the
-  /// pipeline, not the cap, bounds latency).
-  size_t max_batch_frames = 256;
-};
-
 /// Write-ahead redo log for VersionStore. The store logs every Append /
 /// CommitWriter / RollbackWriter before the mutation becomes visible (see
 /// VersionStore::SetWal), and the protocol engine logs the logical commit
@@ -284,7 +276,7 @@ class WriteAheadLog {
 
   /// Starts the pipelined group-commit writer thread. Idempotent; safe to
   /// call before workers start logging.
-  void EnableGroupCommit(const GroupCommitOptions& options = {});
+  void EnableGroupCommit();
   /// Flushes outstanding staged frames and stops the writer thread;
   /// subsequent commits are sync again. Idempotent.
   void DisableGroupCommit();
@@ -449,7 +441,6 @@ class WriteAheadLog {
   std::condition_variable stage_cv_;          ///< Wakes the writer thread.
   mutable std::condition_variable retire_cv_; ///< Wakes ack/Flush waiters.
   std::vector<StagedFrame> staging_;
-  GroupCommitOptions group_options_;
   bool group_enabled_ = false;
   bool writer_stop_ = false;
   bool writer_busy_ = false;  ///< A batch is out of staging_, not yet retired.

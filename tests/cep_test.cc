@@ -41,6 +41,23 @@ TEST_F(CepTest, SingleTransactionLifecycle) {
   EXPECT_EQ(store_.LatestCommittedSnapshot(), (ValueVector{60, 50}));
 }
 
+// The assignment search evaluates clauses over candidate stripes directly;
+// an attached eval cache serves only the output check at commit, so
+// validating a multi-clause I_t must not probe it.
+TEST_F(CepTest, ValidationDoesNotProbeTheEvalCache) {
+  EvalCache cache;
+  CorrectExecutionProtocol::Options options;
+  options.eval_cache = &cache;
+  CorrectExecutionProtocol cep(&store_, options);
+  Predicate input = Predicate::And(Range(0, 0, 100), Range(1, 0, 100));
+  input.AddClause(Clause({EntityVsEntity(0, CompareOp::kLe, 1)}));
+  cep.Register(0, Profile("t0", input));
+  ASSERT_EQ(cep.Begin(0), ReqResult::kGranted);
+  EXPECT_EQ(cache.metrics()->cache_hits.value() +
+                cache.metrics()->cache_misses.value(),
+            0);
+}
+
 TEST_F(CepTest, OwnWriteVisibleToOwnRead) {
   cep_.Register(0, Profile("t0", Range(0, 0, 100)));
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
@@ -436,18 +453,15 @@ TEST(CepStarvationTest, HotEntityWriteStormCannotLivelockValidation) {
   EXPECT_EQ(cep.WaiterFootprint(), 0u);
 }
 
-// A bounded version of the same storm, with the incremental machinery on:
-// after the first invalidated pass the rescans must run as *delta*
-// revalidations — the untouched entity stays pinned to the previous
-// choice and only the stormed entity is re-searched.
+// A bounded version of the same storm: after the first invalidated pass
+// the rescans must run as *delta* revalidations — the untouched entity
+// stays pinned to the previous choice and only the stormed entity is
+// re-searched.
 TEST(CepDeltaRevalidationTest, RescansAfterInterferenceAreDeltaSolves) {
   VersionStore store({50, 50});
   ProtocolMetrics metrics;
-  EvalCache cache(2);
   CorrectExecutionProtocol::Options options;
   options.metrics = &metrics;
-  options.eval_cache = &cache;
-  options.delta_revalidate = true;
   int storm_left = 0;
   CorrectExecutionProtocol* engine = nullptr;
   options.validation_interference = [&](int tx) {

@@ -1,12 +1,11 @@
-// Differential fuzzer for the cache-native hot path: the flat-slab version
-// store, the columnar candidate arena, and the batched (striped, memoized)
-// clause evaluation must be observationally equivalent to the simple
-// reference paths that survive alongside them —
+// Differential fuzzer for the validation hot path: the flat-slab version
+// store, the columnar candidate arena, and the batched (striped) clause
+// evaluation must be observationally equivalent to the simple reference
+// paths that survive alongside them —
 //
 //   * ForEachVersion vs ChainSnapshot (the copying walk),
 //   * ColumnarCandidates vs AllCandidateValues (the nested-vector build),
-//   * pruned/indexed batched search (with EvalCache) vs the exhaustive
-//     scalar search with no cache.
+//   * pruned/indexed batched search vs the exhaustive scalar search.
 //
 // Each seeded trial drives a random multi-writer history — appends, commits,
 // rollbacks (aborts), and CollectObsolete sweeps with pinned refs — and
@@ -20,7 +19,6 @@
 
 #include "common/random.h"
 #include "predicate/assignment_search.h"
-#include "predicate/eval_cache.h"
 #include "storage/version_store.h"
 #include "fuzz_support.h"
 
@@ -65,13 +63,10 @@ void ExpectChainWalksAgree(const VersionStore& store, uint64_t seed) {
   }
 }
 
-// One verdict comparison: exhaustive scalar search with no cache (the
-// reference) vs the batched pruned and indexed modes over the columnar
-// arena, sharing one memo cache across checkpoints — mirroring how the
-// protocol engine reuses its cache across validation rescans.
+// One verdict comparison: exhaustive scalar search (the reference) vs the
+// batched pruned and indexed modes over the columnar arena.
 void ExpectSearchPathsAgree(const VersionStore& store,
-                            const Predicate& predicate,
-                            const CachedPredicate& cached, uint64_t seed) {
+                            const Predicate& predicate, uint64_t seed) {
   DatabaseState db = store.AsDatabaseState();
   std::vector<std::vector<Value>> legacy = db.AllCandidateValues();
   CandidateBuffer columnar = db.ColumnarCandidates();
@@ -81,8 +76,8 @@ void ExpectSearchPathsAgree(const VersionStore& store,
   std::optional<std::vector<int>> reference = FindSatisfyingAssignment(
       predicate, legacy, SearchMode::kExhaustive);
   for (SearchMode mode : {SearchMode::kPruned, SearchMode::kIndexed}) {
-    std::optional<std::vector<int>> batched = FindSatisfyingAssignment(
-        predicate, columnar, mode, nullptr, &cached);
+    std::optional<std::vector<int>> batched =
+        FindSatisfyingAssignment(predicate, columnar, mode);
     ASSERT_EQ(batched.has_value(), reference.has_value())
         << "mode " << static_cast<int>(mode) << ", "
         << fuzz::ReproduceHint(seed);
@@ -109,8 +104,6 @@ TEST(HotpathDifferentialFuzzTest, FlatColumnarBatchedPathsMatchReference) {
     for (Value& v : initial) v = rng.UniformInt(0, 40);
     VersionStore store(initial);
     Predicate predicate = RandomPredicate(rng, entities);
-    EvalCache cache(entities);
-    CachedPredicate cached(predicate, &cache);
 
     int ops = static_cast<int>(rng.UniformInt(20, 60));
     for (int op = 0; op < ops; ++op) {
@@ -119,17 +112,13 @@ TEST(HotpathDifferentialFuzzTest, FlatColumnarBatchedPathsMatchReference) {
       if (dice < 0.55) {
         EntityId e = static_cast<EntityId>(rng.UniformInt(0, entities - 1));
         int idx = store.Append(e, rng.UniformInt(-10, 70), w);
-        // The cache watches store mutations exactly like the engine's
-        // Write path does.
-        cache.BumpEntity(e);
         ASSERT_EQ(store.ChainSize(e), idx + 1) << fuzz::ReproduceHint(seed);
       } else if (dice < 0.75) {
         store.CommitWriter(w);
       } else if (dice < 0.9) {
-        // Abort interleaving: roll the writer back and bump every entity,
-        // mirroring the engine's Abort path.
+        // Abort interleaving: roll the writer back, mirroring the engine's
+        // Abort path.
         store.RollbackWriter(w);
-        for (EntityId e = 0; e < entities; ++e) cache.BumpEntity(e);
       } else {
         // GC interleaving with pinned refs: protect a random committed
         // version per entity; everything else obsolete may go.
@@ -150,12 +139,12 @@ TEST(HotpathDifferentialFuzzTest, FlatColumnarBatchedPathsMatchReference) {
       // abort/GC intermediate shapes are covered, not just the final one.
       if (rng.Bernoulli(3.0 / ops)) {
         ExpectChainWalksAgree(store, seed);
-        ExpectSearchPathsAgree(store, predicate, cached, seed);
+        ExpectSearchPathsAgree(store, predicate, seed);
       }
     }
     store.CollectObsolete({});
     ExpectChainWalksAgree(store, seed);
-    ExpectSearchPathsAgree(store, predicate, cached, seed);
+    ExpectSearchPathsAgree(store, predicate, seed);
   }
 }
 

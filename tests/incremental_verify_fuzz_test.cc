@@ -4,10 +4,9 @@
 //
 //   1. IncrementalCpcChecker vs IsConflictPredicateCorrect, checked after
 //      every prefix of random schedules.
-//   2. DeltaRevalidate + EvalCache vs a plain FindSatisfyingAssignment,
-//      over randomly perturbed candidate sets — including the
-//      invalidation-after-abort pattern, where a write is rolled back and
-//      the cache epochs bumped a second time.
+//   2. DeltaRevalidate vs a plain FindSatisfyingAssignment, over randomly
+//      perturbed candidate sets — including the invalidation-after-abort
+//      pattern, where a write is rolled back and revalidated again.
 //   3. Crash-recovery replays: WAL prefixes re-verified with and without a
 //      shared EvalCache must reach the same verdict.
 
@@ -150,13 +149,10 @@ TEST(IncrementalVerifyFuzzTest, DeltaRevalidateAgreesWithFromScratchSearch) {
       }
     }
 
-    EvalCache cache(entities);
-    CachedPredicate cached(predicate, &cache);
     DeltaStats delta;
 
     std::optional<std::vector<int>> prev =
-        FindSatisfyingAssignment(predicate, candidates, SearchMode::kPruned,
-                                 nullptr, &cached);
+        FindSatisfyingAssignment(predicate, candidates, SearchMode::kPruned);
     ExpectDeltaAgrees(predicate, candidates, prev, trial);
 
     for (int round = 0; round < 8; ++round) {
@@ -169,37 +165,32 @@ TEST(IncrementalVerifyFuzzTest, DeltaRevalidateAgreesWithFromScratchSearch) {
         int v = static_cast<int>(rng.UniformInt(0, versions - 1));
         undo.push_back({{e, v}, candidates[e][v]});
         candidates[e][v] = rng.UniformInt(-20, 120);
-        cache.BumpEntity(e);
         changed.insert(e);
       }
 
       std::optional<std::vector<int>> next;
       if (prev.has_value()) {
         next = DeltaRevalidate(predicate, candidates, *prev, changed,
-                               SearchMode::kPruned, nullptr, &cached, &delta);
+                               SearchMode::kPruned, nullptr, &delta);
       } else {
         next = FindSatisfyingAssignment(predicate, candidates,
-                                        SearchMode::kPruned, nullptr, &cached);
+                                        SearchMode::kPruned);
       }
       ExpectDeltaAgrees(predicate, candidates, next, trial);
 
-      // Invalidation-after-abort: every other round the writer aborts — the
-      // values roll back and the epochs bump again (matching the engine's
-      // Abort path, which re-bumps each written entity after rollback). The
-      // delta path must converge back to the pre-write answer.
+      // Invalidation-after-abort: every other round the writer aborts and
+      // its values roll back (the engine's Abort path). The delta path must
+      // converge back to the pre-write answer.
       if (round % 2 == 1) {
         for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
           candidates[it->first.first][it->first.second] = it->second;
-          cache.BumpEntity(it->first.first);
         }
         if (next.has_value()) {
           next = DeltaRevalidate(predicate, candidates, *next, changed,
-                                 SearchMode::kPruned, nullptr, &cached,
-                                 &delta);
+                                 SearchMode::kPruned, nullptr, &delta);
         } else {
           next = FindSatisfyingAssignment(predicate, candidates,
-                                          SearchMode::kPruned, nullptr,
-                                          &cached);
+                                          SearchMode::kPruned);
         }
         ExpectDeltaAgrees(predicate, candidates, next, trial);
       }
@@ -245,7 +236,7 @@ TEST(IncrementalVerifyFuzzTest, RecoveryReplaysAgreeWithAndWithoutCache) {
     // One cache shared across every replay of this seed — repeated
     // verification of the same history is exactly the workload the shared
     // cache exists for.
-    EvalCache cache(static_cast<int>(workload.initial.size()));
+    EvalCache cache;
     Predicate constraint = WorkloadConstraint(workload);
     Rng rng(seed * 0x9e3779b9ULL);
     size_t log_len = wal.size();
@@ -257,10 +248,6 @@ TEST(IncrementalVerifyFuzzTest, RecoveryReplaysAgreeWithAndWithoutCache) {
       std::vector<CorrectExecutionProtocol::TxRecord> records =
           RecoveredRecords(rec.committed, workload.txs.size());
       ValueVector snapshot = rec.store->LatestCommittedSnapshot();
-      // Mid-way, age every entry the way ParallelDriver::RunChaos does
-      // after a crash cycle swaps in the recovered store; the stale-epoch
-      // probe path must still reach the from-scratch verdict.
-      if (k == 3) cache.InvalidateAll();
       Status with_cache =
           VerifyCepHistory(workload, records, snapshot, constraint, &cache);
       Status without_cache =

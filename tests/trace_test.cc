@@ -26,7 +26,7 @@ class TraceTest : public ::testing::Test {
 
   VersionStore store_;
   CorrectExecutionProtocol cep_;
-  CepTraceRecorder trace_;
+  TraceRecorder trace_;
 };
 
 TEST_F(TraceTest, LifecycleEventsInOrder) {
@@ -39,12 +39,12 @@ TEST_F(TraceTest, LifecycleEventsInOrder) {
   ASSERT_EQ(cep_.Commit(0), ReqResult::kGranted);
 
   ASSERT_EQ(trace_.events().size(), 4u);
-  EXPECT_EQ(trace_.events()[0].kind, CepEvent::Kind::kValidated);
-  EXPECT_EQ(trace_.events()[1].kind, CepEvent::Kind::kRead);
+  EXPECT_EQ(trace_.events()[0].kind, TraceEvent::Kind::kValidated);
+  EXPECT_EQ(trace_.events()[1].kind, TraceEvent::Kind::kRead);
   EXPECT_EQ(trace_.events()[1].value, 50);
-  EXPECT_EQ(trace_.events()[2].kind, CepEvent::Kind::kWrite);
+  EXPECT_EQ(trace_.events()[2].kind, TraceEvent::Kind::kWrite);
   EXPECT_EQ(trace_.events()[2].value, 60);
-  EXPECT_EQ(trace_.events()[3].kind, CepEvent::Kind::kCommitted);
+  EXPECT_EQ(trace_.events()[3].kind, TraceEvent::Kind::kCommitted);
 }
 
 TEST_F(TraceTest, ReassignEventCarriesPeer) {
@@ -55,13 +55,13 @@ TEST_F(TraceTest, ReassignEventCarriesPeer) {
   ASSERT_EQ(cep_.Write(0, 0, 70), ReqResult::kGranted);
   cep_.WriteDone(0, 0);
 
-  std::vector<CepEvent> reassigns =
-      trace_.OfKind(CepEvent::Kind::kReAssign);
+  std::vector<TraceEvent> reassigns =
+      trace_.OfKind(TraceEvent::Kind::kReAssign);
   ASSERT_EQ(reassigns.size(), 1u);
   EXPECT_EQ(reassigns[0].tx, 1);
   EXPECT_EQ(reassigns[0].other, 0);
   EXPECT_EQ(reassigns[0].entity, 0);
-  EXPECT_EQ(trace_.OfKind(CepEvent::Kind::kReEval).size(), 1u);
+  EXPECT_EQ(trace_.OfKind(TraceEvent::Kind::kReEval).size(), 1u);
 }
 
 TEST_F(TraceTest, PoAbortEventEmitted) {
@@ -73,7 +73,7 @@ TEST_F(TraceTest, PoAbortEventEmitted) {
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
   ASSERT_EQ(cep_.Write(0, 0, 70), ReqResult::kGranted);
 
-  std::vector<CepEvent> po = trace_.OfKind(CepEvent::Kind::kPoAbort);
+  std::vector<TraceEvent> po = trace_.OfKind(TraceEvent::Kind::kPoAbort);
   ASSERT_EQ(po.size(), 1u);
   EXPECT_EQ(po[0].tx, 1);
   (void)cep_.TakeForcedAborts();
@@ -85,7 +85,7 @@ TEST_F(TraceTest, CommitWaitNamesTarget) {
   ASSERT_EQ(cep_.Begin(0), ReqResult::kGranted);
   ASSERT_EQ(cep_.Begin(1), ReqResult::kGranted);
   ASSERT_EQ(cep_.Commit(1), ReqResult::kBlocked);
-  std::vector<CepEvent> waits = trace_.OfKind(CepEvent::Kind::kCommitWait);
+  std::vector<TraceEvent> waits = trace_.OfKind(TraceEvent::Kind::kCommitWait);
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].tx, 1);
   EXPECT_EQ(waits[0].other, 0);
@@ -94,7 +94,7 @@ TEST_F(TraceTest, CommitWaitNamesTarget) {
 TEST_F(TraceTest, ValidationWaitOnUnsatisfiable) {
   cep_.Register(0, Profile("picky", Range(0, 90, 100)));
   EXPECT_EQ(cep_.Begin(0), ReqResult::kBlocked);
-  EXPECT_EQ(trace_.OfKind(CepEvent::Kind::kValidationWait).size(), 1u);
+  EXPECT_EQ(trace_.OfKind(TraceEvent::Kind::kValidationWait).size(), 1u);
 }
 
 TEST_F(TraceTest, DetachStopsEvents) {
