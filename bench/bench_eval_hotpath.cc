@@ -5,8 +5,8 @@
 // (ChainSnapshot), dedup candidates by rescanning the output vector
 // (O(states²) std::find), one heap vector per entity, then one memoized
 // EvalClause probe per candidate — a pointer-chasing, lock-per-probe walk.
-// The shipped path keeps versions in flat slabs (ForEachVersion walks them
-// in place), builds ONE columnar candidate arena, and evaluates each
+// The shipped path walks each contiguous version chain in place
+// (ForEachVersion), builds ONE columnar candidate arena, and evaluates each
 // conjunct over the whole contiguous stripe at once (EvalClauseOverStripe:
 // one auto-vectorized compare loop per atom, no memo).
 //

@@ -88,8 +88,8 @@ python3 -m json.tool REPORT_recovery.json > /dev/null
 cat REPORT_recovery.json
 
 echo "== hot-path gate: BENCH_eval_hotpath.json (flat path >= 3x seed) =="
-# bench_eval_hotpath exits non-zero unless the shipped pipeline (flat
-# version slabs -> columnar candidates -> striped batch eval, no memo)
+# bench_eval_hotpath exits non-zero unless the shipped pipeline (in-place
+# chain walk -> columnar candidates -> striped batch eval, no memo)
 # beats an inline reimplementation of the seed pipeline's miss path by
 # >= 3x with bit-identical verdicts. As with the durability gate, the
 # published artifact is re-checked here so a report regression fails CI

@@ -301,8 +301,9 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   KsLockManager locks_;
 
   /// Engine lock (monitor). Ordering: mu_ may be held while taking the
-  /// store's shard locks or the lock manager's shard mutexes, never the
-  /// other way around (neither component calls back into the engine).
+  /// store's mutex (and, through it, the WAL's) or the lock manager's
+  /// mutex, never the other way around (neither component calls back into
+  /// the engine).
   mutable std::mutex mu_;
 
   /// Deque, not vector, on purpose: sessions Register new transactions

@@ -6,9 +6,7 @@
 namespace nonserial {
 
 KsLockManager::KsLockManager(int num_entities, ProtocolMetrics* metrics)
-    : entities_(num_entities),
-      shards_(new Shard[kNumShards]),
-      metrics_(metrics) {}
+    : entities_(num_entities), metrics_(metrics) {}
 
 bool KsLockManager::HasActiveWriterLocked(EntityId e, int other_than) const {
   for (int holder : entities_[e].w) {
@@ -20,7 +18,7 @@ bool KsLockManager::HasActiveWriterLocked(EntityId e, int other_than) const {
 KsLockOutcome KsLockManager::Acquire(int tx, EntityId e, KsLockMode mode) {
   NONSERIAL_CHECK_GE(e, 0);
   NONSERIAL_CHECK_LT(e, num_entities());
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   EntityLocks& locks = entities_[e];
   switch (mode) {
     case KsLockMode::kRv:
@@ -67,7 +65,7 @@ KsLockOutcome KsLockManager::Acquire(int tx, EntityId e, KsLockMode mode) {
 KsLockOutcome KsLockManager::UpgradeToRead(int tx, EntityId e) {
   NONSERIAL_CHECK_GE(e, 0);
   NONSERIAL_CHECK_LT(e, num_entities());
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   EntityLocks& locks = entities_[e];
   NONSERIAL_CHECK(locks.rv.contains(tx))
       << "read request without a validation lock (tx " << tx << ", entity "
@@ -84,7 +82,7 @@ KsLockOutcome KsLockManager::UpgradeToRead(int tx, EntityId e) {
 void KsLockManager::ReleaseWrite(int tx, EntityId e) {
   NONSERIAL_CHECK_GE(e, 0);
   NONSERIAL_CHECK_LT(e, num_entities());
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   std::multiset<int>& w = entities_[e].w;
   auto it = w.find(tx);
   NONSERIAL_CHECK(it != w.end());
@@ -92,9 +90,8 @@ void KsLockManager::ReleaseWrite(int tx, EntityId e) {
 }
 
 void KsLockManager::ReleaseAll(int tx) {
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    std::lock_guard<std::mutex> lock(ShardOf(e));
-    EntityLocks& locks = entities_[e];
+  std::lock_guard<std::mutex> lock(mu_);
+  for (EntityLocks& locks : entities_) {
     locks.rv.erase(tx);
     locks.r.erase(tx);
     auto range = locks.w.equal_range(tx);
@@ -103,27 +100,27 @@ void KsLockManager::ReleaseAll(int tx) {
 }
 
 bool KsLockManager::HoldsRv(int tx, EntityId e) const {
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   return entities_[e].rv.contains(tx);
 }
 
 bool KsLockManager::HoldsR(int tx, EntityId e) const {
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   return entities_[e].r.contains(tx);
 }
 
 bool KsLockManager::HasActiveWriter(EntityId e, int other_than) const {
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   return HasActiveWriterLocked(e, other_than);
 }
 
 int KsLockManager::WriteHolds(int tx, EntityId e) const {
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(entities_[e].w.count(tx));
 }
 
 std::vector<int> KsLockManager::Readers(EntityId e) const {
-  std::lock_guard<std::mutex> lock(ShardOf(e));
+  std::lock_guard<std::mutex> lock(mu_);
   std::set<int> readers = entities_[e].rv;
   readers.insert(entities_[e].r.begin(), entities_[e].r.end());
   return std::vector<int>(readers.begin(), readers.end());

@@ -1,7 +1,6 @@
 #ifndef NONSERIAL_PROTOCOL_KS_LOCK_MANAGER_H_
 #define NONSERIAL_PROTOCOL_KS_LOCK_MANAGER_H_
 
-#include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -34,12 +33,9 @@ enum class KsLockOutcome {
 /// anything; instead a W acquisition returns kReEval when readers hold
 /// Rv/R locks so the protocol can run the Figure 4 re-evaluation routine.
 ///
-/// Thread safety: the table is sharded by entity with one mutex per shard,
-/// so Figure-3 acquisitions on different entities never touch the same
-/// lock word. Single-entity operations lock exactly one shard; ReleaseAll
-/// walks the shards one at a time (each entity's state changes atomically,
-/// the cross-entity sweep is not an atomic cut — the protocol engine
-/// serializes termination itself).
+/// Thread safety: every method runs under one table mutex, so each call —
+/// ReleaseAll's sweep over every entity included — is atomic. The only
+/// caller in a run is the CEP monitor, which already holds its own mutex.
 class KsLockManager {
  public:
   /// Lock outcome counters (grants, blocks, re-evals) go to `metrics`, or
@@ -75,9 +71,6 @@ class KsLockManager {
   int num_entities() const { return static_cast<int>(entities_.size()); }
 
  private:
-  static constexpr int kNumShards = 32;
-  static constexpr int kShardMask = kNumShards - 1;
-
   /// Per-entity lock state. rv/r are sets (one hold per transaction); w is
   /// a per-transaction hold count — one write operation in flight per
   /// increment, so a transaction writing the same entity twice holds two
@@ -88,17 +81,11 @@ class KsLockManager {
     std::multiset<int> w;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-  };
-
-  std::mutex& ShardOf(EntityId e) const { return shards_[e & kShardMask].mu; }
-
-  // Caller must hold ShardOf(e).
+  // Caller must hold mu_.
   bool HasActiveWriterLocked(EntityId e, int other_than) const;
 
-  std::vector<EntityLocks> entities_;
-  std::unique_ptr<Shard[]> shards_;
+  mutable std::mutex mu_;
+  std::vector<EntityLocks> entities_;  // Guarded by mu_.
   MetricsSink metrics_;
 };
 

@@ -1,36 +1,16 @@
 #include "storage/version_store.h"
 
-#include <mutex>
-#include <thread>
-
 #include "common/logging.h"
 #include "storage/wal.h"
 
 namespace nonserial {
 
-void VersionStore::DeleteSlabRaw(void* slab) {
-  delete static_cast<Slab*>(slab);
-}
-
 VersionStore::VersionStore(ValueVector initial_values)
     : num_entities_(static_cast<int>(initial_values.size())),
-      chains_(new Chain[initial_values.size()]),
-      shards_(new Shard[kNumShards]) {
+      chains_(initial_values.size()) {
   for (int e = 0; e < num_entities_; ++e) {
-    Slab* slab = new Slab(kInitialSlabCapacity);
-    Slot& slot = slab->slots[0];
-    slot.value = initial_values[e];
-    slot.writer = kInitialWriter;
-    slot.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    slot.flags.store(Slot::kCommitted, std::memory_order_relaxed);
-    chains_[e].slab.store(slab, std::memory_order_release);
-    chains_[e].size.store(1, std::memory_order_release);
-  }
-}
-
-VersionStore::~VersionStore() {
-  for (int e = 0; e < num_entities_; ++e) {
-    delete chains_[e].slab.load(std::memory_order_relaxed);
+    chains_[e].push_back(Version{initial_values[e], kInitialWriter,
+                                 /*committed=*/true, /*dead=*/false});
   }
 }
 
@@ -45,95 +25,54 @@ Version VersionStore::At(VersionRef ref) const {
 
 Version VersionStore::VersionAt(EntityId e, int index) const {
   BoundsCheck(e);
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  int n = 0;
-  const Slab* slab = LoadChain(e, &n);
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<Version>& chain = chains_[e];
   NONSERIAL_CHECK_GE(index, 0);
-  NONSERIAL_CHECK_LT(index, n);
-  return slab->slots[index].Observe();
+  NONSERIAL_CHECK_LT(index, static_cast<int>(chain.size()));
+  return chain[index];
 }
 
 Value VersionStore::Read(VersionRef ref) const { return At(ref).value; }
 
 int VersionStore::ChainSize(EntityId e) const {
   BoundsCheck(e);
-  return chains_[e].size.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(chains_[e].size());
 }
 
 std::vector<Version> VersionStore::ChainSnapshot(EntityId e) const {
-  std::vector<Version> out;
-  ForEachVersion(e, [&out](const Version& v, int) { out.push_back(v); });
-  return out;
-}
-
-int VersionStore::AppendSlot(EntityId e, Value value, int writer,
-                             bool committed) {
-  Chain& chain = chains_[e];
-  int n = chain.size.load(std::memory_order_relaxed);
-  Slab* slab = chain.slab.load(std::memory_order_relaxed);
-  if (n == slab->capacity) {
-    // Grow by copy-and-publish; the old slab may still be walked by pinned
-    // readers, so it is retired, not deleted.
-    Slab* bigger = new Slab(slab->capacity * 2);
-    for (int i = 0; i < n; ++i) {
-      Slot& src = slab->slots[i];
-      Slot& dst = bigger->slots[i];
-      dst.value = src.value;
-      dst.writer = src.writer;
-      dst.seq = src.seq;
-      dst.flags.store(src.flags.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    }
-    chain.slab.store(bigger, std::memory_order_release);
-    reclaimer_.Retire(slab, &DeleteSlabRaw);
-    slab = bigger;
-  }
-  Slot& slot = slab->slots[n];
-  slot.value = value;
-  slot.writer = writer;
-  slot.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  slot.flags.store(committed ? Slot::kCommitted : 0,
-                   std::memory_order_relaxed);
-  // Publishes the slot (and any slab swap above): readers acquire-load size
-  // before the slab pointer, so this release store fences every plain write
-  // above into their view.
-  chain.size.store(n + 1, std::memory_order_release);
-  return n;
+  BoundsCheck(e);
+  std::lock_guard<std::mutex> lock(mu_);
+  return chains_[e];
 }
 
 int VersionStore::Append(EntityId e, Value value, int writer) {
   BoundsCheck(e);
-  std::unique_lock<std::mutex> lock(ShardOf(e));
-  BeginMutation();
-  // Logged under the shard lock so the log's per-entity append order equals
-  // the chain order recovery will rebuild.
+  std::lock_guard<std::mutex> lock(mu_);
+  // Logged under the store mutex so the log's per-entity append order
+  // equals the chain order recovery will rebuild.
   if (wal_ != nullptr) wal_->LogAppend(e, value, writer);
-  int index = AppendSlot(e, value, writer, /*committed=*/false);
-  EndMutation();
-  return index;
+  std::vector<Version>& chain = chains_[e];
+  chain.push_back(Version{value, writer, /*committed=*/false,
+                          /*dead=*/false});
+  return static_cast<int>(chain.size()) - 1;
 }
 
-int VersionStore::LatestLiveIndexLocked(EntityId e) const {
-  int n = 0;
-  const Slab* slab = LoadChain(e, &n);
-  for (int i = n - 1; i >= 0; --i) {
-    if (!slab->slots[i].IsDead()) return i;
+int VersionStore::LatestLiveIndex(EntityId e) const {
+  BoundsCheck(e);
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<Version>& chain = chains_[e];
+  for (int i = static_cast<int>(chain.size()) - 1; i >= 0; --i) {
+    if (!chain[i].dead) return i;
   }
   NONSERIAL_CHECK(false) << "entity " << e << " has no live version";
   return -1;
 }
 
-int VersionStore::LatestLiveIndex(EntityId e) const {
-  BoundsCheck(e);
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  return LatestLiveIndexLocked(e);
-}
-
 int VersionStore::LatestCommittedIndexLocked(EntityId e) const {
-  int n = 0;
-  const Slab* slab = LoadChain(e, &n);
-  for (int i = n - 1; i >= 0; --i) {
-    if (slab->slots[i].IsCommittedLive()) return i;
+  const std::vector<Version>& chain = chains_[e];
+  for (int i = static_cast<int>(chain.size()) - 1; i >= 0; --i) {
+    if (chain[i].committed && !chain[i].dead) return i;
   }
   NONSERIAL_CHECK(false) << "entity " << e << " has no committed version";
   return -1;
@@ -141,18 +80,16 @@ int VersionStore::LatestCommittedIndexLocked(EntityId e) const {
 
 int VersionStore::LatestCommittedIndex(EntityId e) const {
   BoundsCheck(e);
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
+  std::lock_guard<std::mutex> lock(mu_);
   return LatestCommittedIndexLocked(e);
 }
 
 std::optional<int> VersionStore::LatestIndexBy(EntityId e, int writer) const {
   BoundsCheck(e);
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  int n = 0;
-  const Slab* slab = LoadChain(e, &n);
-  for (int i = n - 1; i >= 0; --i) {
-    const Slot& slot = slab->slots[i];
-    if (!slot.IsDead() && slot.writer == writer) return i;
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<Version>& chain = chains_[e];
+  for (int i = static_cast<int>(chain.size()) - 1; i >= 0; --i) {
+    if (!chain[i].dead && chain[i].writer == writer) return i;
   }
   return std::nullopt;
 }
@@ -169,22 +106,12 @@ WalCommitHandle VersionStore::CommitWriter(int writer) {
   // writer (downward closure survives early lock release).
   WalCommitHandle handle;
   if (wal_ != nullptr) handle = wal_->LogCommit(writer);
-  // The whole multi-entity flip is ONE mutation bracket: AsDatabaseState
-  // observes either all of this writer's versions committed or none.
-  BeginMutation();
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    std::unique_lock<std::mutex> lock(ShardOf(e));
-    int n = 0;
-    Slab* slab = LoadChainMut(e, &n);
-    for (int i = 0; i < n; ++i) {
-      Slot& slot = slab->slots[i];
-      if (slot.writer != writer) continue;
-      uint8_t f = slot.flags.load(std::memory_order_relaxed);
-      if (f & Slot::kDead) continue;
-      slot.flags.store(f | Slot::kCommitted, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::vector<Version>& chain : chains_) {
+    for (Version& v : chain) {
+      if (v.writer == writer && !v.dead) v.committed = true;
     }
   }
-  EndMutation();
   return handle;
 }
 
@@ -192,48 +119,35 @@ void VersionStore::MarkAllCommitted() {
   NONSERIAL_CHECK(wal_ == nullptr)
       << "MarkAllCommitted is a recovery-replay shortcut; it must not be "
          "used on a store that is logging";
-  BeginMutation();
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    std::unique_lock<std::mutex> lock(ShardOf(e));
-    int n = 0;
-    Slab* slab = LoadChainMut(e, &n);
-    for (int i = 0; i < n; ++i) {
-      Slot& slot = slab->slots[i];
-      uint8_t f = slot.flags.load(std::memory_order_relaxed);
-      if (f & Slot::kDead) continue;
-      slot.flags.store(f | Slot::kCommitted, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::vector<Version>& chain : chains_) {
+    for (Version& v : chain) {
+      if (!v.dead) v.committed = true;
     }
   }
-  EndMutation();
 }
 
 void VersionStore::RollbackWriter(int writer) {
   if (wal_ != nullptr) wal_->LogRollback(writer);
-  BeginMutation();
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    std::unique_lock<std::mutex> lock(ShardOf(e));
-    int n = 0;
-    Slab* slab = LoadChainMut(e, &n);
-    for (int i = 0; i < n; ++i) {
-      Slot& slot = slab->slots[i];
-      if (slot.writer != writer) continue;
-      uint8_t f = slot.flags.load(std::memory_order_relaxed);
-      if (f & Slot::kCommitted) continue;
-      slot.flags.store(f | Slot::kDead, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::vector<Version>& chain : chains_) {
+    for (Version& v : chain) {
+      if (v.writer == writer && !v.committed) v.dead = true;
     }
   }
-  EndMutation();
+}
+
+ValueVector VersionStore::LatestCommittedLocked() const {
+  ValueVector out(num_entities());
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    out[e] = chains_[e][LatestCommittedIndexLocked(e)].value;
+  }
+  return out;
 }
 
 ValueVector VersionStore::LatestCommittedSnapshot() const {
-  ValueVector out(num_entities());
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    int n = 0;
-    const Slab* slab = LoadChain(e, &n);
-    out[e] = slab->slots[LatestCommittedIndexLocked(e)].value;
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return LatestCommittedLocked();
 }
 
 DatabaseState VersionStore::AsDatabaseState() const {
@@ -241,75 +155,19 @@ DatabaseState VersionStore::AsDatabaseState() const {
   // committed prefix values. For verification purposes a simpler encoding
   // suffices: the initial state plus, per committed version, the latest
   // snapshot overlaid with that version's value.
-  //
-  // The scan must be a *coherent cut*. Every mutator brackets its logical
-  // mutation (an Append, or a whole multi-entity commit/rollback/GC sweep)
-  // in BeginMutation/EndMutation. Optimistic protocol: observe the stamps
-  // quiescent (started == done), scan lock-free, then validate nothing
-  // started during the scan. A validated scan therefore never contains
-  // half of a CommitWriter — the mixed-state bug this replaces.
-  auto scan = [this](DatabaseState* db) {
-    ValueVector latest(num_entities());
-    for (EntityId e = 0; e < num_entities(); ++e) {
-      int n = 0;
-      const Slab* slab = LoadChain(e, &n);
-      latest[e] = slab->slots[LatestCommittedIndexLocked(e)].value;
-    }
-    db->Add(latest);
-    for (EntityId e = 0; e < num_entities(); ++e) {
-      int n = 0;
-      const Slab* slab = LoadChain(e, &n);
-      for (int i = 0; i < n; ++i) {
-        if (!slab->slots[i].IsCommittedLive()) continue;
-        Value v = slab->slots[i].value;
-        if (v == latest[e]) continue;
-        ValueVector s = latest;
-        s[e] = v;
-        db->Add(std::move(s));
-      }
-    }
-  };
-
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  for (int attempt = 0; attempt < kAsDatabaseStateRetries; ++attempt) {
-    int64_t started = mutations_started_.load(std::memory_order_seq_cst);
-    int64_t done = mutations_done_.load(std::memory_order_seq_cst);
-    if (started != done) {  // A mutation is mid-flight; let it finish.
-      std::this_thread::yield();
-      continue;
-    }
-    DatabaseState db(num_entities());
-    scan(&db);
-    if (mutations_started_.load(std::memory_order_seq_cst) == started) {
-      return db;  // Nothing started during the scan: coherent.
+  std::lock_guard<std::mutex> lock(mu_);
+  DatabaseState db(num_entities());
+  ValueVector latest = LatestCommittedLocked();
+  db.Add(latest);
+  for (EntityId e = 0; e < num_entities(); ++e) {
+    for (const Version& v : chains_[e]) {
+      if (!v.committed || v.dead || v.value == latest[e]) continue;
+      ValueVector s = latest;
+      s[e] = v.value;
+      db.Add(std::move(s));
     }
   }
-  // Fallback under sustained mutation pressure: stall the mutators by
-  // holding every shard mutex. All slab/flag writes happen under a shard
-  // mutex, so nothing can change mid-scan; the stamp re-check under the
-  // locks rules out a logical mutation caught between its BeginMutation
-  // and its first (or next) shard acquisition — if one is wedged there,
-  // release everything so it can land, and try again.
-  for (;;) {
-    while (mutations_started_.load(std::memory_order_seq_cst) !=
-           mutations_done_.load(std::memory_order_seq_cst)) {
-      std::this_thread::yield();
-    }
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(kNumShards);
-    for (int s = 0; s < kNumShards; ++s) {
-      locks.emplace_back(shards_[s].mu);
-    }
-    int64_t started = mutations_started_.load(std::memory_order_seq_cst);
-    int64_t done = mutations_done_.load(std::memory_order_seq_cst);
-    if (started == done) {
-      DatabaseState db(num_entities());
-      scan(&db);
-      return db;
-    }
-    locks.clear();
-    std::this_thread::yield();
-  }
+  return db;
 }
 
 int64_t VersionStore::CollectObsolete(const std::vector<VersionRef>& pinned) {
@@ -325,34 +183,28 @@ int64_t VersionStore::CollectObsolete(const std::vector<VersionRef>& pinned) {
     flags[ref.index] = true;
   }
   int64_t collected = 0;
-  BeginMutation();
+  std::lock_guard<std::mutex> lock(mu_);
   for (EntityId e = 0; e < num_entities(); ++e) {
-    std::unique_lock<std::mutex> lock(ShardOf(e));
     int latest = LatestCommittedIndexLocked(e);
     const std::vector<bool>& flags = is_pinned[e];
-    int n = 0;
-    Slab* slab = LoadChainMut(e, &n);
-    for (int i = 0; i < n; ++i) {
-      Slot& slot = slab->slots[i];
+    std::vector<Version>& chain = chains_[e];
+    for (int i = 0; i < static_cast<int>(chain.size()); ++i) {
+      Version& v = chain[i];
       bool pinned_here = i < static_cast<int>(flags.size()) && flags[i];
-      if (!slot.IsCommittedLive() || i == latest || pinned_here) continue;
-      slot.flags.store(Slot::kCommitted | Slot::kDead,
-                       std::memory_order_release);
+      if (!v.committed || v.dead || i == latest || pinned_here) continue;
+      v.dead = true;
       ++collected;
     }
   }
-  EndMutation();
   return collected;
 }
 
 int64_t VersionStore::TotalLiveVersions() const {
   int64_t total = 0;
-  EpochReclaimer::ReadGuard guard(&reclaimer_);
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    int n = 0;
-    const Slab* slab = LoadChain(e, &n);
-    for (int i = 0; i < n; ++i) {
-      if (!slab->slots[i].IsDead()) ++total;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::vector<Version>& chain : chains_) {
+    for (const Version& v : chain) {
+      if (!v.dead) ++total;
     }
   }
   return total;

@@ -1,18 +1,13 @@
 #ifndef NONSERIAL_STORAGE_VERSION_STORE_H_
 #define NONSERIAL_STORAGE_VERSION_STORE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "model/state.h"
 #include "predicate/value.h"
-#include "storage/epoch_reclaim.h"
 #include "storage/wal.h"  // WalCommitHandle (returned by value).
 
 namespace nonserial {
@@ -28,7 +23,6 @@ constexpr int kInitialWriter = -1;
 struct Version {
   Value value = 0;
   int writer = kInitialWriter;  ///< Runtime transaction id that created it.
-  int64_t seq = 0;              ///< Global creation sequence number.
   bool committed = false;       ///< Writer has committed.
   bool dead = false;            ///< Rolled back; invisible to new requests.
 };
@@ -48,33 +42,20 @@ struct VersionRef {
 /// unique state a serial history would have produced, and mix-and-match
 /// reads across chains realize version states.
 ///
-/// **Memory layout (cache-native hot path).** Each chain is a contiguous
-/// slab of version slots — value/writer/seq are plain fields frozen at
-/// append time, the committed/dead flags are one atomic byte per slot. A
-/// full slab is replaced by a doubled copy published through an atomic
-/// pointer; the old slab is retired to an epoch-based reclaimer
-/// (storage/epoch_reclaim.h) and freed once no reader can still hold it.
-/// Version indices are stable across growth (slot i is slot i in every
-/// later slab), so VersionRefs stay valid forever, exactly as before.
+/// Each chain is a contiguous vector of versions. Chains only grow, so a
+/// version's index never changes and VersionRefs stay valid forever.
 ///
-/// Thread safety: every method is safe to call concurrently. *Reads are
-/// lock-free*: they pin a reclamation epoch, load the slab pointer and the
-/// published size with acquire ordering, and walk contiguous memory —
-/// no shared_mutex, no contention with other readers or with writers of
-/// other entities. Mutations (Append/Commit/Rollback/GC) serialize on one
-/// plain mutex per shard of entities. Per-version flag flips are atomic,
-/// so a reader's copy of a version is an atomic observation; the
-/// cross-entity combination of independent reads is not a consistent cut —
-/// except for AsDatabaseState, which validates a store-wide mutation stamp
-/// and retries, so the DatabaseState it hands to verification can never
-/// contain a half-applied commit (a "mixed state" no serial prefix
-/// produced).
+/// Thread safety: every method is safe to call concurrently; each one runs
+/// under a single store mutex, so every result — AsDatabaseState and
+/// LatestCommittedSnapshot included — is a coherent cut that never shows a
+/// half-applied commit. The store's one writer in a run is the CEP monitor
+/// (which calls it with its own mutex held); the lock order is CEP monitor
+/// → store → WAL.
 class VersionStore {
  public:
   /// Creates the store with one committed initial version per entity,
   /// authored by kInitialWriter.
   explicit VersionStore(ValueVector initial_values);
-  ~VersionStore();
 
   /// Attaches a write-ahead log: from now on every Append / CommitWriter /
   /// RollbackWriter is logged before the mutation becomes visible, so a
@@ -87,8 +68,8 @@ class VersionStore {
 
   int num_entities() const { return num_entities_; }
 
-  /// Copy of one version (copy, not reference: the slot's committed/dead
-  /// flags may change concurrently; the copy is an atomic observation).
+  /// Copy of one version (a copy, because its committed/dead flags may
+  /// change after the call returns).
   Version At(VersionRef ref) const;
   Version VersionAt(EntityId e, int index) const;
   Value Read(VersionRef ref) const;
@@ -98,24 +79,18 @@ class VersionStore {
   int ChainSize(EntityId e) const;
 
   /// Consistent copy of the whole chain of `e` (tests and diagnostics).
-  /// Hot loops use ForEachVersion instead — it walks the slab in place.
+  /// Hot loops use ForEachVersion instead — it walks the chain in place.
   std::vector<Version> ChainSnapshot(EntityId e) const;
 
   /// Allocation-free chain walk: invokes `fn(const Version&, int index)`
-  /// for every version of `e` present when the walk pinned the chain, in
-  /// index order. The Version reference is a stack copy (atomic per-slot
-  /// observation); the underlying slab is epoch-protected for the whole
-  /// walk, so the visit is safe against concurrent growth and GC.
+  /// for every version of `e`, in index order, with the store mutex held.
+  /// `fn` must not call back into the store (the mutex is not recursive).
   template <typename Fn>
   void ForEachVersion(EntityId e, Fn&& fn) const {
     BoundsCheck(e);
-    EpochReclaimer::ReadGuard guard(&reclaimer_);
-    const Chain& chain = chains_[e];
-    int n = chain.size.load(std::memory_order_acquire);
-    const Slab* slab = chain.slab.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      fn(slab->slots[i].Observe(), i);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    const std::vector<Version>& chain = chains_[e];
+    for (int i = 0; i < static_cast<int>(chain.size()); ++i) fn(chain[i], i);
   }
 
   /// Appends a new (uncommitted, live) version; returns its index.
@@ -148,21 +123,13 @@ class VersionStore {
   void RollbackWriter(int writer);
 
   /// Latest committed value per entity — the conventional notion of "the
-  /// current database". Per-entity reads are individually atomic; the
-  /// cross-entity combination is a racy cut (see AsDatabaseState for the
-  /// validated one).
+  /// current database".
   ValueVector LatestCommittedSnapshot() const;
 
   /// The model-layer database state: one unique state per global sequence
   /// point of committed versions. For verification we expose the simpler
   /// set: all committed values per entity (mix-and-match candidates).
-  ///
-  /// The returned state is a *coherent cut*: the scan validates the
-  /// store-wide mutation stamp (no mutation in flight, none landed during
-  /// the scan) and retries on interference, falling back to stalling the
-  /// mutators via the shard mutexes after kAsDatabaseStateRetries attempts.
-  /// A concurrent CommitWriter is therefore observed either fully or not
-  /// at all — never as a mixed state no serial prefix produced.
+  /// A concurrent CommitWriter is observed either fully or not at all.
   DatabaseState AsDatabaseState() const;
 
   /// Total number of live versions across all chains.
@@ -177,118 +144,16 @@ class VersionStore {
   /// are just no longer handed out. Returns the number collected.
   int64_t CollectObsolete(const std::vector<VersionRef>& pinned);
 
-  /// Reclamation diagnostics: slabs retired by growth but not yet freed.
-  size_t PendingRetiredSlabs() const { return reclaimer_.PendingRetired(); }
-
  private:
-  /// One version slot inside a slab. The identity fields are frozen by the
-  /// publishing size store; the flags byte mutates atomically in place.
-  struct Slot {
-    Value value = 0;
-    int writer = kInitialWriter;
-    int64_t seq = 0;
-    std::atomic<uint8_t> flags{0};  ///< Bit 0: committed, bit 1: dead.
-
-    static constexpr uint8_t kCommitted = 1;
-    static constexpr uint8_t kDead = 2;
-
-    Version Observe() const {
-      uint8_t f = flags.load(std::memory_order_relaxed);
-      Version v;
-      v.value = value;
-      v.writer = writer;
-      v.seq = seq;
-      v.committed = (f & kCommitted) != 0;
-      v.dead = (f & kDead) != 0;
-      return v;
-    }
-    bool IsDead() const {
-      return (flags.load(std::memory_order_relaxed) & kDead) != 0;
-    }
-    bool IsCommittedLive() const {
-      return flags.load(std::memory_order_relaxed) == kCommitted;
-    }
-  };
-
-  /// A contiguous version slab. Grown by copy-and-publish; old slabs go to
-  /// the epoch reclaimer.
-  struct Slab {
-    explicit Slab(int cap) : capacity(cap), slots(new Slot[cap]) {}
-    int capacity;
-    std::unique_ptr<Slot[]> slots;
-  };
-
-  /// One per-entity chain: the published slab and the published length.
-  /// Readers load size before slab (both acquire) — the size publication
-  /// release-orders every earlier slot write and slab swap, so the loaded
-  /// slab always has capacity >= the loaded size.
-  struct Chain {
-    std::atomic<Slab*> slab{nullptr};
-    std::atomic<int> size{0};
-  };
-
-  // 16 shards cover the repo's workloads (tens of entities) without making
-  // the all-shard operations crawl; entity e maps to shard e & kShardMask.
-  static constexpr int kNumShards = 16;
-  static constexpr int kShardMask = kNumShards - 1;
-  static constexpr int kInitialSlabCapacity = 8;
-  /// Optimistic stamp-validated scans before AsDatabaseState falls back to
-  /// locking out the mutators.
-  static constexpr int kAsDatabaseStateRetries = 64;
-
-  std::mutex& ShardOf(EntityId e) const { return shards_[e & kShardMask].mu; }
-
   void BoundsCheck(EntityId e) const;
 
-  /// Loads the published (size, slab) pair for `e` in the safe order.
-  /// Caller must hold a ReadGuard (or a shard mutex for mutators).
-  const Slab* LoadChain(EntityId e, int* size) const {
-    const Chain& chain = chains_[e];
-    *size = chain.size.load(std::memory_order_acquire);
-    return chain.slab.load(std::memory_order_acquire);
-  }
-
-  /// Mutation-stamp bookkeeping for coherent cuts: every mutator brackets
-  /// its writes with Begin/EndMutation; AsDatabaseState treats the whole
-  /// bracket as atomic.
-  void BeginMutation() {
-    mutations_started_.fetch_add(1, std::memory_order_seq_cst);
-  }
-  void EndMutation() {
-    mutations_done_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
-  // Callers must hold ShardOf(e) or a ReadGuard.
-  int LatestLiveIndexLocked(EntityId e) const;
+  // Callers must hold mu_.
   int LatestCommittedIndexLocked(EntityId e) const;
+  ValueVector LatestCommittedLocked() const;
 
-  /// Appends one slot under ShardOf(e), growing (and retiring) the slab if
-  /// full. Returns the new index.
-  int AppendSlot(EntityId e, Value value, int writer, bool committed);
-
-  /// Mutable chain access for flag flips; caller must hold ShardOf(e).
-  Slab* LoadChainMut(EntityId e, int* size) {
-    Chain& chain = chains_[e];
-    *size = chain.size.load(std::memory_order_relaxed);
-    return chain.slab.load(std::memory_order_relaxed);
-  }
-
-  /// Type-erased deleter handed to the epoch reclaimer (Slab is private).
-  static void DeleteSlabRaw(void* slab);
-
-  struct Shard {
-    mutable std::mutex mu;
-  };
-
-  int num_entities_ = 0;
-  std::unique_ptr<Chain[]> chains_;
-  std::unique_ptr<Shard[]> shards_;
-  mutable EpochReclaimer reclaimer_;
-  std::atomic<int64_t> next_seq_{0};
-  /// Coherent-cut stamps: a scan observed with started == done (and done
-  /// unchanged across it) saw no mutation partially applied.
-  std::atomic<int64_t> mutations_started_{0};
-  std::atomic<int64_t> mutations_done_{0};
+  const int num_entities_;
+  mutable std::mutex mu_;
+  std::vector<std::vector<Version>> chains_;  // Guarded by mu_.
   WriteAheadLog* wal_ = nullptr;
 };
 

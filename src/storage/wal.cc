@@ -956,20 +956,24 @@ Status WriteAheadLog::Checkpoint() {
     return Status::FailedPrecondition(
         "checkpoint refused: the medium has a sticky write failure");
   }
-  return CompactLocked(nullptr);
+  return CompactLocked(nullptr, {});
 }
 
 int64_t WriteAheadLog::CompactTo(const RecoveryResult& recovered) {
+  // The recovered store is walked before mu_ is taken: the lock order is
+  // store → WAL (VersionStore::Append logs under the store mutex).
+  WalCheckpoint recovered_checkpoint = CheckpointOf(recovered, initial_.size());
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t reclaimed = static_cast<int64_t>(segments_.size());
-  CompactLocked(&recovered);
+  CompactLocked(&recovered, std::move(recovered_checkpoint));
   // The recovered state is the new durable truth; a crash-recovery
   // compaction also stands in for the medium swap a restart performs.
   media_failed_ = false;
   return reclaimed;
 }
 
-Status WriteAheadLog::CompactLocked(const RecoveryResult* recovered) {
+Status WriteAheadLog::CompactLocked(const RecoveryResult* recovered,
+                                    WalCheckpoint recovered_checkpoint) {
   // One consistent view: the live image, scanned under the lock, so nothing
   // the checkpoint does not absorb is compacted away.
   ScanResult scan = ScanSegments(segments_);
@@ -1027,7 +1031,7 @@ Status WriteAheadLog::CompactLocked(const RecoveryResult* recovered) {
 
   WalCheckpoint checkpoint;
   if (recovered != nullptr && cut == replayed) {
-    checkpoint = CheckpointOf(*recovered, initial_.size());
+    checkpoint = std::move(recovered_checkpoint);
   } else {
     RecoveryResult state;
     ReplayRecords(records, cut, initial_,

@@ -401,7 +401,10 @@ class WriteAheadLog {
   /// The compaction routine behind Checkpoint() (`recovered` null) and
   /// CompactTo(): one scan of the live image, one record-fate pass over it,
   /// a checkpoint at the cut, and the carried records behind it.
-  Status CompactLocked(const RecoveryResult* recovered);
+  /// `recovered_checkpoint` is the checkpoint of `recovered`'s store, used
+  /// when the cut falls at its replay boundary.
+  Status CompactLocked(const RecoveryResult* recovered,
+                       WalCheckpoint recovered_checkpoint);
   /// Replaces all segments with one fresh segment holding `frames`.
   void ResetSegmentsLocked(std::string frames, int64_t record_count);
   /// Busy-waits flush_us_ (the simulated storage barrier) and counts it.

@@ -154,7 +154,7 @@ TEST(KsLockManagerTest, MetricsCountOutcomes) {
   EXPECT_EQ(metrics.lock_blocks.value(), 1);
 }
 
-// Concurrency smoke over the sharded table: disjoint transactions hammer
+// Concurrency smoke over the lock table: disjoint transactions hammer
 // overlapping entities. (Run under TSan via scripts/ci.sh.)
 TEST(KsLockManagerConcurrencyTest, ParallelAcquireRelease) {
   constexpr int kEntities = 16;
