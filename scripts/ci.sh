@@ -230,6 +230,19 @@ print(f"wire-chaos gate ok: {config['total_runs']} runs over "
 EOF
 cat REPORT_wire_chaos.json
 
+echo "== protocol-shape gates: E5 (long transactions) + E10 (nested) =="
+# Both benches run their workloads as Sessions under the deterministic
+# scheduler (src/sim/scheduler.h) and exit non-zero when their shape check
+# fails: E5 when CEP's blocked time is not far below S2PL's or a history
+# fails the Theorem 2 check, E10 when a protocol leaves work uncommitted
+# or Nested-CEP misses a group commit. set -e turns that exit (of the
+# command substitution) into a CI failure.
+for bench in bench_protocol_longtx bench_nested_concurrency; do
+  echo "-- ${bench} --json"
+  report=$(./build/bench/"${bench}" --json)
+  python3 -m json.tool <<< "${report}" > /dev/null
+done
+
 echo "== json gate: every bench must emit one valid --json document =="
 # The quick benches run in full; the expensive sweeps are already covered
 # by the parallel report above, so this gate sticks to the cheap ones plus

@@ -97,12 +97,12 @@ struct ProtocolMetrics {
 
   // Driver-level waiting.
   Counter commit_waits;     ///< Commit attempts parked on a predecessor.
-  Histogram wait_micros;    ///< Wall-clock µs per blocked episode (parallel
-                            ///< driver only; the tick simulator has no wall
-                            ///< clock).
+  Histogram wait_micros;    ///< Wall-clock µs per blocked episode (sessions
+                            ///< parked on the signal hub; the deterministic
+                            ///< scheduler never parks one).
 
-  // Per-transaction phase spans. Units depend on the driver: wall-clock µs
-  // under the parallel driver, simulated ticks under the tick simulator.
+  // Per-transaction phase spans, in wall-clock µs (parallel driver; the
+  // commit wait also from Session::Commit).
   Histogram span_validate;     ///< Begin until the attempt is admitted.
   Histogram span_execute;      ///< Admission until the last read/write.
   Histogram span_commit_wait;  ///< Blocked portion of termination.

@@ -36,23 +36,6 @@ enum class RequestOutcome {
              ///< call Abort() and restart the attempt.
 };
 
-/// Maps a terminal controller outcome to the facade's Status vocabulary.
-/// kBlocked is not terminal (the session layer absorbs it); mapping it is a
-/// programming error reported as kInternal.
-inline Status StatusFromOutcome(RequestOutcome outcome, const char* op) {
-  switch (outcome) {
-    case RequestOutcome::kGranted:
-      return Status::OK();
-    case RequestOutcome::kAborted:
-      return Status::Aborted(std::string(op) +
-                             ": attempt aborted by the protocol");
-    case RequestOutcome::kBlocked:
-      break;
-  }
-  return Status::Internal(std::string(op) +
-                          ": kBlocked escaped the session retry loop");
-}
-
 }  // namespace engine
 }  // namespace nonserial
 

@@ -18,13 +18,13 @@ namespace nonserial {
 using TxProfile = engine::TxSpec;
 using ReqResult = engine::RequestOutcome;
 
-/// A pluggable concurrency-control protocol driven by the discrete-event
-/// simulator. Implementations: the paper's Correct Execution Protocol,
+/// A pluggable concurrency-control protocol, driven through engine Sessions
+/// (engine/engine.h). Implementations: the paper's Correct Execution Protocol,
 /// strict two-phase locking, multiversion timestamp ordering, and
 /// predicate-wise two-phase locking.
 ///
 /// Contract: requests are issued by one logical thread at a time (the
-/// simulator, or the engine's serializing decorator) unless the controller
+/// engine's serializing decorator) unless the controller
 /// is thread_safe(); a kBlocked result parks the transaction until its id
 /// is surfaced by TakeWakeups(), after which the *same* request is retried.
 /// Controllers may unilaterally kill transactions (re-evaluation, deadlock
@@ -51,7 +51,7 @@ class ConcurrencyController {
   virtual ReqResult Read(int tx, EntityId e, Value* out) = 0;
 
   /// Writes an entity. Granted writes hold their write lock until the
-  /// simulator calls WriteDone (models the write duration).
+  /// driver calls WriteDone (Session::Write does so at once).
   virtual ReqResult Write(int tx, EntityId e, Value value) = 0;
 
   /// Signals completion of a granted write (releases short write locks).

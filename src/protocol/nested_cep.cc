@@ -20,6 +20,11 @@ NestedCepController::NestedCepController(VersionStore* top_store,
     profile.predecessors = group.predecessors;
     top_cep_.Register(static_cast<int>(g), profile);
   }
+  // A group's members are every transaction mapped to it, registered yet
+  // or not: the group commits only once all of them have.
+  for (int tx = 0; tx < static_cast<int>(options_.group_of_tx.size()); ++tx) {
+    groups_[GroupOf(tx)].members.insert(tx);
+  }
 }
 
 void NestedCepController::SetObserver(TraceSink* sink) {
@@ -55,8 +60,14 @@ void NestedCepController::Register(int tx, TxProfile profile) {
         << "member partial orders must stay within a group; cross-group "
            "ordering belongs to the group predecessors";
   }
+  registered_.insert(tx);
   profiles_[tx] = std::move(profile);
-  groups_[g].members.insert(tx);
+  // Sessions register a member when it begins, possibly after its group's
+  // scope opened.
+  GroupState& group = groups_[g];
+  if (group.phase == GroupPhase::kActive) {
+    group.cep->Register(tx, profiles_[tx]);
+  }
 }
 
 ReqResult NestedCepController::EnsureGroupStarted(int g, int tx) {
@@ -98,7 +109,9 @@ ReqResult NestedCepController::EnsureGroupStarted(int g, int tx) {
   group.cep = std::make_unique<CorrectExecutionProtocol>(group.store.get());
   group.cep->SetObserver(observer());
   for (int member : group.members) {
-    group.cep->Register(member, profiles_[member]);
+    if (registered_.contains(member)) {
+      group.cep->Register(member, profiles_[member]);
+    }
   }
   group.group_committed.clear();
   group.published = false;

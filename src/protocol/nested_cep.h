@@ -52,7 +52,7 @@ class NestedCepController : public ConcurrencyController {
   struct Options {
     std::vector<NestedGroup> groups;
     /// Flat transaction id -> group id. Every registered transaction must
-    /// be mapped.
+    /// be mapped; a group commits once every transaction mapped to it has.
     std::vector<int> group_of_tx;
   };
 
@@ -95,7 +95,7 @@ class NestedCepController : public ConcurrencyController {
     GroupPhase phase = GroupPhase::kIdle;
     std::unique_ptr<VersionStore> store;  ///< Scope-local versions.
     std::unique_ptr<CorrectExecutionProtocol> cep;
-    std::set<int> members;
+    std::set<int> members;          ///< Every transaction mapped here.
     std::set<int> group_committed;  ///< Members committed relative to group.
     std::set<int> begin_waiters;    ///< Members blocked on the group start.
     ValueVector seed;               ///< X(G) the scope was seeded with.
@@ -113,6 +113,7 @@ class NestedCepController : public ConcurrencyController {
   CorrectExecutionProtocol top_cep_;
   std::vector<GroupState> groups_;
   std::vector<TxProfile> profiles_;
+  std::set<int> registered_;  ///< Transactions profiles_ holds.
   std::set<int> wakeups_;
   std::set<int> forced_aborts_;
   Stats stats_;

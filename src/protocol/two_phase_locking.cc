@@ -189,8 +189,8 @@ ReqResult TwoPhaseLockingController::Write(int tx, EntityId e, Value value) {
 }
 
 void TwoPhaseLockingController::WriteDone(int tx, EntityId e) {
-  // Write locks are held to commit under 2PL; the write duration only
-  // delays the predicate-wise group-release accounting.
+  // Write locks are held to commit under 2PL; WriteDone only feeds the
+  // predicate-wise group-release accounting.
   MarkOpDone(tx, e);
 }
 

@@ -125,7 +125,7 @@ struct ChaosRunResult {
 
 /// Multi-worker driver: `num_threads` client threads drive the workload's
 /// transactions through Sessions of ONE engine hosting CEP — the concurrent
-/// counterpart of the deterministic discrete-event Simulator. Transaction i
+/// counterpart of the deterministic Scheduler (sim/scheduler.h). Transaction i
 /// runs on session i, opened in index order on a fresh engine, so it runs as
 /// id i in every chaos cycle. The crash timer kills the engine, abandoning
 /// every attempt in flight without a rollback; the watchdog shuts it down,

@@ -876,8 +876,7 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::FromImage(
       seg.seq = header.seq;
       seg.lost = header.lost;
       if (!seg.lost) {
-        seg.bytes = image.substr(b + wal_format::kSegmentHeaderBytes,
-                                 end - b - wal_format::kSegmentHeaderBytes);
+        seg.bytes = image.substr(b + header.bytes, end - b - header.bytes);
       }
       wal->segments_.push_back(std::move(seg));
     }

@@ -344,9 +344,13 @@ void AppendCheckpointFrame(const WalCheckpoint& checkpoint, std::string* out) {
 }
 
 void AppendSegmentHeader(uint64_t seq, bool lost, std::string* out) {
+  const size_t start = out->size();
   PutU64(kSegmentMagic, out);
   PutU64(seq, out);
-  PutU8(lost ? kSegmentFlagLost : 0, out);
+  PutU8(kSegmentFlagCrc | (lost ? kSegmentFlagLost : 0), out);
+  PutU32(Crc32(reinterpret_cast<const uint8_t*>(out->data() + start),
+               kSegmentHeaderBytes),
+         out);
 }
 
 DecodedFrame DecodeFrame(const char* data, size_t len) {
@@ -411,7 +415,18 @@ bool DecodeSegmentHeader(const char* data, size_t len, SegmentHeader* out) {
   // Unknown flag bits mean the byte is damaged (or from a future format
   // this code cannot interpret) — either way the header is undecodable.
   // Accepting them would let a single-bit flip pass silently.
-  if ((flags & ~kSegmentFlagLost) != 0) return false;
+  if ((flags & ~(kSegmentFlagLost | kSegmentFlagCrc)) != 0) return false;
+  out->bytes = kSegmentHeaderBytes;
+  if ((flags & kSegmentFlagCrc) != 0) {
+    // A damaged seq must never pass for a valid one.
+    uint32_t crc;
+    if (!in.ReadU32(&crc) ||
+        crc != Crc32(reinterpret_cast<const uint8_t*>(data),
+                     kSegmentHeaderBytes)) {
+      return false;
+    }
+    out->bytes += kSegmentHeaderCrcBytes;
+  }
   out->seq = seq;
   out->lost = (flags & kSegmentFlagLost) != 0;
   return true;
@@ -423,7 +438,7 @@ std::vector<size_t> RecordEndOffsets(const std::string& image) {
   while (pos < image.size()) {
     SegmentHeader header;
     if (DecodeSegmentHeader(image.data() + pos, image.size() - pos, &header)) {
-      pos += kSegmentHeaderBytes;
+      pos += header.bytes;
       continue;
     }
     DecodedFrame frame = DecodeFrame(image.data() + pos, image.size() - pos);

@@ -15,9 +15,11 @@ namespace wal_format {
 /// segments; a segment is a header followed by frames; a frame is a
 /// length-prefixed, CRC-protected record:
 ///
-///   segment header:  magic u64 | seq u64 | flags u8            (17 bytes)
+///   segment header:  magic u64 | seq u64 | flags u8 | crc u32  (21 bytes)
 ///   frame:           magic u32 | kind u8 | len u32 | crc u32 | payload
 ///
+/// The header CRC covers magic, seq and flags; the kSegmentFlagCrc flag
+/// bit announces it. A v1 header (no such flag, 17 bytes) still decodes.
 /// The CRC32 (IEEE 802.3 polynomial) covers kind, len, and the payload, so
 /// any single corrupted byte outside the frame magic fails the check; a
 /// corrupted magic fails the magic check instead. All integers are
@@ -27,9 +29,12 @@ namespace wal_format {
 
 inline constexpr uint64_t kSegmentMagic = 0x4747'4553'4C41'574Eull;
 inline constexpr uint32_t kFrameMagic = 0x4C41'574Eu;  // "NWAL"
+/// A v1 segment header; a v2 header adds kSegmentHeaderCrcBytes.
 inline constexpr size_t kSegmentHeaderBytes = 8 + 8 + 1;
+inline constexpr size_t kSegmentHeaderCrcBytes = 4;
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 inline constexpr uint8_t kSegmentFlagLost = 0x01;
+inline constexpr uint8_t kSegmentFlagCrc = 0x02;
 /// Frame kind byte for a legacy (v1) checkpoint (record kinds use
 /// WalRecord::Kind). V1 committed entries carry no commit token; decoding
 /// one yields commit_token == 0 for every transaction. Kept decodable so
@@ -52,7 +57,7 @@ void AppendRecordFrame(const WalRecord& record, std::string* out);
 /// Serializes a checkpoint as a frame appended to `*out`.
 void AppendCheckpointFrame(const WalCheckpoint& checkpoint, std::string* out);
 
-/// Serializes a segment header appended to `*out`.
+/// Serializes a (v2, CRC-protected) segment header appended to `*out`.
 void AppendSegmentHeader(uint64_t seq, bool lost, std::string* out);
 
 enum class FrameStatus : uint8_t {
@@ -75,9 +80,11 @@ DecodedFrame DecodeFrame(const char* data, size_t len);
 struct SegmentHeader {
   uint64_t seq = 0;
   bool lost = false;
+  size_t bytes = 0;  ///< Encoded size: v1 or v2.
 };
 
-/// Decodes a segment header at data[0]; false if truncated or bad magic.
+/// Decodes a segment header at data[0]; false if truncated, or damaged:
+/// bad magic, unknown flag bits, or a header CRC mismatch.
 bool DecodeSegmentHeader(const char* data, size_t len, SegmentHeader* out);
 
 /// Image offsets immediately after each *record* frame (checkpoint frames

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "protocol/registry.h"
 #include "storage/wal.h"
 
 namespace nonserial {
@@ -382,6 +383,33 @@ TEST(EngineSessionTest, RegistryProtocolsServeConcurrentSessions) {
     EXPECT_EQ(engine.store()->LatestCommittedSnapshot(), (ValueVector{51, 52}))
         << ProtocolKindName(kind);
   }
+}
+
+TEST(EngineSessionTest, WriteParksOnABlockingLockInsteadOfVanishing) {
+  // S2PL blocks a write behind another transaction's read lock. The write
+  // must park (here: until the blocked budget aborts it), never report OK
+  // for a write the controller did not perform.
+  ProtocolMetrics metrics;
+  EngineOptions options = BaseOptions(&metrics);
+  options.max_blocked_us = 10'000;
+  options.controller_factory = MakeControllerFactory(ProtocolKind::kStrict2pl);
+  Engine engine(std::move(options));
+  std::unique_ptr<Session> reader = engine.OpenSession();
+  std::unique_ptr<Session> writer = engine.OpenSession();
+  ASSERT_TRUE(reader->Begin(Spec("reader")).ok());
+  ASSERT_TRUE(reader->Read(0).ok());
+  ASSERT_TRUE(writer->Begin(Spec("writer")).ok());
+  Status write = writer->Write(0, 42);
+  EXPECT_EQ(write.code(), StatusCode::kAborted) << write.ToString();
+  EXPECT_FALSE(writer->in_transaction());
+  EXPECT_GE(metrics.deadline_aborts.value(), 1);
+  EXPECT_EQ(engine.store()->ChainSize(0), 1);  // No version was appended.
+  ASSERT_TRUE(reader->Commit().ok());
+  // With the lock free, the retried write goes through.
+  ASSERT_TRUE(writer->Begin(Spec("writer")).ok());
+  EXPECT_TRUE(writer->Write(0, 42).ok());
+  EXPECT_TRUE(writer->Commit().ok());
+  EXPECT_EQ(engine.store()->LatestCommittedSnapshot(), (ValueVector{42, 50}));
 }
 
 }  // namespace
