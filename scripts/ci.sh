@@ -35,6 +35,24 @@ echo "== perfbench self-test: every workload and metric, tiny rounds =="
 # unit, and fails when its correctness ledger is corrupted.
 python3 perfbench/selftest.py
 
+echo "== verify gate: BENCH_verify.json (hot_constraint verify_s <= 0.1 s) =="
+# Checking the committed history of a hot_constraint round (about 6,000
+# transactions) must stay far cheaper than the round itself: the validity
+# check is a 64-column reachability sweep, not two n x n closures. The
+# run's last stdout line is its JSON result; it is saved and re-checked.
+verify_run=$(python3 perfbench/run.py --workload hot_constraint --seed 1 \
+  --seconds 5 --trace 0)
+tail -n 1 <<< "${verify_run}" > BENCH_verify.json
+python3 - <<'EOF'
+import json
+report = json.load(open("BENCH_verify.json"))
+assert report["correct"] is True, "hot_constraint run was not correct"
+verify_s = report["metrics"]["verify_s"]["value"]
+assert verify_s <= 0.1, f"verify_s {verify_s:.3f} s > 0.1 s"
+print(f"verify gate ok: verify_s {verify_s:.3f} s")
+EOF
+cat BENCH_verify.json
+
 echo "== report artifacts: REPORT_parallel.json + TRACE_chaos.json =="
 ./build/bench/bench_parallel_protocol --json --trace TRACE_chaos.json \
   > REPORT_parallel.json

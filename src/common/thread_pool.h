@@ -18,10 +18,10 @@ namespace nonserial {
 ///    (and degrades to a plain loop) even when every worker is busy or the
 ///    pool has no threads — it can never deadlock on pool starvation.
 ///
-/// The verifier and the class recognizers share one process-wide pool
-/// (Shared()) sized to the hardware; the simulation drivers create their own
-/// client threads instead (clients block on protocol waits, which would
-/// starve a shared pool).
+/// The class recognizers share one process-wide pool (Shared()) sized to
+/// the hardware; the simulation drivers create their own client threads
+/// instead (clients block on protocol waits, which would starve a shared
+/// pool).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -40,7 +40,7 @@ class ThreadPool {
   /// costs balance across workers.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
-  /// Process-wide pool for verification work: min(hardware, 8) threads.
+  /// Process-wide pool for recognizer work: min(hardware, 8) threads.
   static ThreadPool& Shared();
 
  private:

@@ -1,11 +1,9 @@
 #include "core/verify.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace nonserial {
 
@@ -23,37 +21,38 @@ Status VerifyCepHistory(
     const ValueVector& final_committed_snapshot, const Predicate& constraint,
     EvalCache* cache) {
   // Committed transactions, in registration order; map tx id -> child
-  // position within the root.
+  // position within the root (-1: not committed).
   std::vector<int> committed;
-  std::map<int, int> position_of;
+  std::vector<int> positions(records.size(), -1);
   for (size_t tx = 0; tx < records.size(); ++tx) {
     if (records[tx].committed) {
-      position_of[static_cast<int>(tx)] = static_cast<int>(committed.size());
+      positions[tx] = static_cast<int>(committed.size());
       committed.push_back(static_cast<int>(tx));
     }
   }
+  auto position_of = [&positions](int tx) {
+    return tx >= 0 && tx < static_cast<int>(positions.size()) ? positions[tx]
+                                                               : -1;
+  };
 
   // Replay each committed transaction's writes as constant effects (the
   // transaction's mapping applied to X(t) reproduces exactly the values it
-  // wrote). Leaf construction is independent per transaction, so it fans
-  // out over the shared pool; insertion into the tree stays ordered.
-  std::vector<std::pair<LeafProgram, Specification>> leaves(committed.size());
-  ThreadPool::Shared().ParallelFor(
-      static_cast<int>(committed.size()), [&](int i) {
-        int tx = committed[i];
-        const CorrectExecutionProtocol::TxRecord& record = records[tx];
-        for (const auto& [entity, value] : record.writes) {
-          leaves[i].first.AddWrite(entity, Expr::Const(value));
-        }
-        leaves[i].second.input = workload.txs[tx].input;
-        leaves[i].second.output = workload.txs[tx].output;
-      });
+  // wrote).
   TransactionTree tree;
+  tree.Reserve(static_cast<int>(committed.size()) + 2);  // + t_f and root.
   std::vector<int> child_nodes;
-  for (size_t i = 0; i < committed.size(); ++i) {
-    child_nodes.push_back(tree.AddLeaf(records[committed[i]].name,
-                                       std::move(leaves[i].first),
-                                       std::move(leaves[i].second)));
+  child_nodes.reserve(committed.size() + 1);
+  for (int tx : committed) {
+    const CorrectExecutionProtocol::TxRecord& record = records[tx];
+    LeafProgram program;
+    for (const auto& [entity, value] : record.writes) {
+      program.AddWrite(entity, Expr::Const(value));
+    }
+    Specification spec;
+    spec.input = workload.txs[tx].input;
+    spec.output = workload.txs[tx].output;
+    child_nodes.push_back(
+        tree.AddLeaf(record.name, std::move(program), std::move(spec)));
   }
 
   // t_f: reads the final database; its input condition is the database
@@ -73,12 +72,12 @@ Status VerifyCepHistory(
   std::vector<std::pair<int, int>> partial_order;
   for (int tx : committed) {
     for (int pred : workload.txs[tx].predecessors) {
-      auto it = position_of.find(pred);
-      if (it != position_of.end()) {
-        partial_order.push_back({it->second, position_of[tx]});
+      int pred_position = position_of(pred);
+      if (pred_position >= 0) {
+        partial_order.push_back({pred_position, position_of(tx)});
       }
     }
-    partial_order.push_back({position_of[tx], tf_position});
+    partial_order.push_back({position_of(tx), tf_position});
   }
 
   Specification root_spec;
@@ -87,45 +86,34 @@ Status VerifyCepHistory(
                               /*final_child=*/tf_position);
   tree.SetRoot(root);
 
-  // Structural validation of the tree and assembly of the execution (R, X)
-  // are independent; overlap them. X comes from the protocol's recorded
-  // input states and the final snapshot; R from the recorded version
-  // authors.
-  Status validate_status;
-  Status exec_status;
+  NONSERIAL_RETURN_IF_ERROR(tree.Validate());
+
+  // The execution (R, X): X from the protocol's recorded input states and
+  // the final snapshot, R from the recorded version authors.
   TreeExecution exec;
-  ThreadPool::Shared().ParallelFor(2, [&](int task) {
-    if (task == 0) {
-      validate_status = tree.Validate();
-      return;
-    }
-    exec.root_input = workload.initial;
-    NodeExecution ne;
-    ne.inputs.assign(child_nodes.size(), ValueVector());
-    for (int tx : committed) {
-      const CorrectExecutionProtocol::TxRecord& record = records[tx];
-      ne.inputs[position_of[tx]] = record.input_state;
-      for (int feeder : record.feeder_txs) {
-        auto it = position_of.find(feeder);
-        if (it == position_of.end()) {
-          exec_status = Status::Internal(StrCat(
-              "committed transaction '", record.name,
-              "' was assigned a version authored by uncommitted transaction ",
-              feeder, " — commit rule 2 violated"));
-          return;
-        }
-        ne.reads_from.push_back({it->second, position_of[tx]});
+  exec.root_input = workload.initial;
+  NodeExecution ne;
+  ne.inputs.assign(child_nodes.size(), ValueVector());
+  for (int tx : committed) {
+    const CorrectExecutionProtocol::TxRecord& record = records[tx];
+    ne.inputs[position_of(tx)] = record.input_state;
+    for (int feeder : record.feeder_txs) {
+      int feeder_position = position_of(feeder);
+      if (feeder_position < 0) {
+        return Status::Internal(StrCat(
+            "committed transaction '", record.name,
+            "' was assigned a version authored by uncommitted transaction ",
+            feeder, " — commit rule 2 violated"));
       }
+      ne.reads_from.push_back({feeder_position, position_of(tx)});
     }
-    // t_f observes the final committed database; it may read from anyone.
-    ne.inputs[tf_position] = final_committed_snapshot;
-    for (int tx : committed) {
-      ne.reads_from.push_back({position_of[tx], tf_position});
-    }
-    exec.node_executions[root] = std::move(ne);
-  });
-  NONSERIAL_RETURN_IF_ERROR(validate_status);
-  NONSERIAL_RETURN_IF_ERROR(exec_status);
+  }
+  // t_f observes the final committed database; it may read from anyone.
+  ne.inputs[tf_position] = final_committed_snapshot;
+  for (int tx : committed) {
+    ne.reads_from.push_back({position_of(tx), tf_position});
+  }
+  exec.node_executions[root] = std::move(ne);
 
   return CheckCorrectExecution(tree, exec, cache);
 }

@@ -67,6 +67,14 @@ class SerializedController : public ConcurrencyController {
     std::lock_guard<std::mutex> lock(mu_);
     return inner_->TakeForcedAborts();
   }
+  bool Retire(int tx) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_->Retire(tx);
+  }
+  bool IsRetired(int tx) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_->IsRetired(tx);
+  }
   void SetObserver(TraceSink* sink) override {
     std::lock_guard<std::mutex> lock(mu_);
     inner_->SetObserver(sink);
@@ -75,7 +83,7 @@ class SerializedController : public ConcurrencyController {
 
  private:
   std::unique_ptr<ConcurrencyController> inner_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
 };
 
 }  // namespace
@@ -112,7 +120,7 @@ void Engine::BuildController(VersionStore* store) {
   cep_.reset();
   if (options_.controller_factory) {
     std::unique_ptr<ConcurrencyController> built =
-        options_.controller_factory(store);
+        options_.controller_factory(store, options_.protocol);
     NONSERIAL_CHECK(built != nullptr) << "controller_factory returned null";
     if (built->thread_safe()) {
       controller_ = std::move(built);

@@ -34,8 +34,9 @@ struct EngineOptions {
   /// retirement). Pointers inside are not owned. A null metrics sink makes
   /// the engine count into one it owns (Engine::metrics()).
   CorrectExecutionProtocol::Options protocol;
-  /// Builds the hosted controller (protocol/registry.h). Null (the default)
-  /// builds a CorrectExecutionProtocol from `protocol`, keeping cep() valid.
+  /// Builds the hosted controller (protocol/registry.h) from the store and
+  /// `protocol` as the engine completed it (its metrics sink, retirement).
+  /// Null (the default) builds a CorrectExecutionProtocol from `protocol`.
   /// A controller that is not thread_safe() is wrapped in a serializing
   /// decorator. Called at construction and on every CrashRecover.
   ControllerFactory controller_factory;

@@ -114,29 +114,6 @@ bool Digraph::Reaches(int from, int to) const {
   return false;
 }
 
-std::vector<std::vector<bool>> Digraph::TransitiveClosure() const {
-  int n = num_nodes();
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  // BFS from every node; fine for the graph sizes we handle (transactions,
-  // not tuples).
-  for (int s = 0; s < n; ++s) {
-    std::vector<int> stack = {s};
-    std::vector<bool> seen(n, false);
-    while (!stack.empty()) {
-      int node = stack.back();
-      stack.pop_back();
-      for (int next : adjacency_[node]) {
-        if (!seen[next]) {
-          seen[next] = true;
-          closure[s][next] = true;
-          stack.push_back(next);
-        }
-      }
-    }
-  }
-  return closure;
-}
-
 namespace {
 
 struct TarjanState {

@@ -48,10 +48,6 @@ class Digraph {
   /// (a node reaches itself trivially).
   bool Reaches(int from, int to) const;
 
-  /// Transitive closure as a boolean matrix; closure[i][j] is true iff
-  /// j is reachable from i by a non-empty path.
-  std::vector<std::vector<bool>> TransitiveClosure() const;
-
   /// Strongly connected components (Tarjan). Returns, for each node, its
   /// component id; ids are in reverse topological order of the condensation.
   std::vector<int> StronglyConnectedComponents(int* num_components) const;

@@ -1,6 +1,9 @@
 #include "model/execution.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -28,6 +31,85 @@ Digraph EdgesToDigraph(int n, const std::vector<std::pair<int, int>>& edges) {
   Digraph g(n);
   for (auto [a, b] : edges) g.AddEdge(a, b);
   return g;
+}
+
+// (t_i, t_j) ∈ P+  =>  (t_j, t_i) ∉ R+, for the n children of node `id`.
+// Sweeps the sources in blocks of 64, one bit per source: pa[v] holds the
+// block sources that reach v by a P+ path, rd[c] the block sources that R's
+// component c reaches by a non-empty R path, so a violation is a bit of
+// pa[j] & rd[comp[j]]. O((n + m) * n / 64) time and O(n) words; the first
+// violation reported is the row-major first (i, j), i.e. the smallest i,
+// then the smallest j. P must be acyclic (TransactionTree::Validate).
+Status CheckOrderNotInvalidated(
+    int id, int n, const std::vector<std::pair<int, int>>& p_edges,
+    const std::vector<std::pair<int, int>>& r_edges) {
+  Digraph p = EdgesToDigraph(n, p_edges);
+  Digraph r = EdgesToDigraph(n, r_edges);
+  std::optional<std::vector<int>> p_topo = p.TopologicalOrder();
+  NONSERIAL_CHECK(p_topo.has_value()) << "partial order of node " << id
+                                      << " is cyclic";
+  // R's condensation. Tarjan ids are reverse-topological, so ascending id
+  // order visits a component's successors first. A component on a cycle
+  // (several members, or a self-loop) reaches its own members.
+  int num_comps = 0;
+  std::vector<int> comp = r.StronglyConnectedComponents(&num_comps);
+  std::vector<int> comp_start(num_comps + 1, 0);
+  for (int v = 0; v < n; ++v) ++comp_start[comp[v] + 1];
+  for (int c = 0; c < num_comps; ++c) comp_start[c + 1] += comp_start[c];
+  std::vector<int> members(n);
+  std::vector<int> fill(comp_start.begin(), comp_start.end() - 1);
+  for (int v = 0; v < n; ++v) members[fill[comp[v]]++] = v;
+  std::vector<bool> cyclic(num_comps, false);
+  for (int v = 0; v < n; ++v) {
+    if (comp_start[comp[v] + 1] - comp_start[comp[v]] > 1 || r.HasEdge(v, v)) {
+      cyclic[comp[v]] = true;
+    }
+  }
+
+  std::vector<uint64_t> pa(n);
+  std::vector<uint64_t> in_block(num_comps);
+  std::vector<uint64_t> rd(num_comps);
+  for (int base = 0; base < n; base += 64) {
+    int end = std::min(n, base + 64);
+    auto bit = [base, end](int v) -> uint64_t {
+      return v >= base && v < end ? uint64_t{1} << (v - base) : 0;
+    };
+    std::fill(pa.begin(), pa.end(), 0);
+    for (int u : *p_topo) {
+      uint64_t from_u = pa[u] | bit(u);
+      if (from_u == 0) continue;
+      for (int w : p.OutEdges(u)) pa[w] |= from_u;
+    }
+    std::fill(in_block.begin(), in_block.end(), 0);
+    for (int v = base; v < end; ++v) in_block[comp[v]] |= bit(v);
+    for (int c = 0; c < num_comps; ++c) {
+      uint64_t reach = cyclic[c] ? in_block[c] : 0;
+      for (int k = comp_start[c]; k < comp_start[c + 1]; ++k) {
+        for (int w : r.OutEdges(members[k])) {
+          if (comp[w] != c) reach |= in_block[comp[w]] | rd[comp[w]];
+        }
+      }
+      rd[c] = reach;
+    }
+    int first_i = -1;
+    int first_j = -1;
+    for (int j = 0; j < n; ++j) {
+      uint64_t violations = pa[j] & rd[comp[j]];
+      if (violations == 0) continue;
+      int i = base + std::countr_zero(violations);
+      if (first_i < 0 || i < first_i) {
+        first_i = i;
+        first_j = j;
+      }
+    }
+    if (first_i >= 0) {
+      return Status::FailedPrecondition(StrCat(
+          "partial order invalidation at node ", id, ": children ", first_i,
+          " -> ", first_j, " ordered by P but R+ orders ", first_j, " -> ",
+          first_i));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -64,34 +146,33 @@ StatusOr<UniqueState> ExecutionEvaluator::OutputOf(int node_id) {
 
   const TransactionNode& node = tree_.node(node_id);
   NONSERIAL_ASSIGN_OR_RETURN(ValueVector input, InputOf(node_id));
+  // A leaf's output is one cheap program application: recomputed rather
+  // than kept, so checking n leaves holds no n output states at once.
+  if (node.is_leaf) return node.program.Apply(input);
+  if (node.final_child < 0) {
+    return Status::FailedPrecondition(
+        StrCat("internal node ", node_id, " ('", node.name,
+               "') has no designated final child; its result is undefined"));
+  }
+  auto it = exec_.node_executions.find(node_id);
+  if (it == exec_.node_executions.end()) {
+    return Status::FailedPrecondition(
+        StrCat("no execution recorded for internal node ", node_id));
+  }
+  if (node.final_child >= static_cast<int>(it->second.inputs.size())) {
+    return Status::FailedPrecondition(
+        StrCat("execution of node ", node_id, " lacks final-child input"));
+  }
+  // X(t_f): the version state the final pseudo-transaction observes. A
+  // leaf t_f applies its (normally empty) program for uniformity; an
+  // internal final child contributes its own recursively defined result.
+  int final_id = node.children[node.final_child];
   UniqueState output;
-  if (node.is_leaf) {
-    output = node.program.Apply(input);
+  const TransactionNode& final_node = tree_.node(final_id);
+  if (final_node.is_leaf) {
+    output = final_node.program.Apply(it->second.inputs[node.final_child]);
   } else {
-    if (node.final_child < 0) {
-      return Status::FailedPrecondition(
-          StrCat("internal node ", node_id, " ('", node.name,
-                 "') has no designated final child; its result is undefined"));
-    }
-    auto it = exec_.node_executions.find(node_id);
-    if (it == exec_.node_executions.end()) {
-      return Status::FailedPrecondition(
-          StrCat("no execution recorded for internal node ", node_id));
-    }
-    if (node.final_child >= static_cast<int>(it->second.inputs.size())) {
-      return Status::FailedPrecondition(
-          StrCat("execution of node ", node_id, " lacks final-child input"));
-    }
-    // X(t_f): the version state the final pseudo-transaction observes. A
-    // leaf t_f applies its (normally empty) program for uniformity; an
-    // internal final child contributes its own recursively defined result.
-    int final_id = node.children[node.final_child];
-    const TransactionNode& final_node = tree_.node(final_id);
-    if (final_node.is_leaf) {
-      output = final_node.program.Apply(it->second.inputs[node.final_child]);
-    } else {
-      NONSERIAL_ASSIGN_OR_RETURN(output, OutputOf(final_id));
-    }
+    NONSERIAL_ASSIGN_OR_RETURN(output, OutputOf(final_id));
   }
   memo_.emplace(node_id, output);
   return output;
@@ -122,20 +203,8 @@ Status ValidateExecutionStructure(const TransactionTree& tree,
             StrCat("execution of node ", id, " has R edge out of range"));
       }
     }
-    // (t_i, t_j) ∈ P+  =>  (t_j, t_i) ∉ R+.
-    Digraph p = EdgesToDigraph(n, node.partial_order);
-    Digraph r = EdgesToDigraph(n, ne.reads_from);
-    std::vector<std::vector<bool>> p_closure = p.TransitiveClosure();
-    std::vector<std::vector<bool>> r_closure = r.TransitiveClosure();
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (p_closure[i][j] && r_closure[j][i]) {
-          return Status::FailedPrecondition(StrCat(
-              "partial order invalidation at node ", id, ": children ", i,
-              " -> ", j, " ordered by P but R+ orders ", j, " -> ", i));
-        }
-      }
-    }
+    NONSERIAL_RETURN_IF_ERROR(
+        CheckOrderNotInvalidated(id, n, node.partial_order, ne.reads_from));
   }
   return Status::OK();
 }

@@ -50,7 +50,7 @@ class ExecutionEvaluator {
   const TreeExecution& exec_;
   std::vector<int> parent_;          // node id -> parent node id (-1 = root).
   std::vector<int> position_;        // node id -> position within parent.
-  std::map<int, UniqueState> memo_;
+  std::map<int, UniqueState> memo_;  // Internal nodes only.
 };
 
 /// Checks the definition of an execution (paper, Section 3.1): for every

@@ -136,6 +136,9 @@ class TransactionTree {
   const TransactionNode& node(int id) const;
   TransactionNode& mutable_node(int id);
   int size() const { return static_cast<int>(nodes_.size()); }
+  /// Reserves room for `n` nodes (a caller that knows the tree's size
+  /// avoids the reallocations of growing it).
+  void Reserve(int n) { nodes_.reserve(n); }
 
   /// The input set N_t of a node: entities appearing in I_t.
   std::set<EntityId> InputSet(int id) const;

@@ -1,6 +1,7 @@
 #include "predicate/predicate.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <sstream>
 
@@ -53,8 +54,32 @@ std::set<EntityId> Clause::Object() const {
   return out;
 }
 
+Predicate::Predicate(std::vector<Clause> clauses) {
+  if (!clauses.empty()) {
+    clauses_ = std::make_shared<std::vector<Clause>>(std::move(clauses));
+  }
+}
+
+const std::vector<Clause>& Predicate::NoClauses() {
+  static const std::vector<Clause> kNone;
+  return kNone;
+}
+
+void Predicate::AddClause(Clause clause) {
+  if (clauses_ == nullptr) {
+    clauses_ = std::make_shared<std::vector<Clause>>();
+  } else if (clauses_.use_count() != 1) {
+    clauses_ = std::make_shared<std::vector<Clause>>(*clauses_);
+  } else {
+    // Sole owner: a copy released on another thread read the clauses before
+    // its (release) decrement; order those reads before this write.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  clauses_->push_back(std::move(clause));
+}
+
 bool Predicate::Eval(const ValueVector& values) const {
-  for (const Clause& clause : clauses_) {
+  for (const Clause& clause : clauses()) {
     if (!clause.Eval(values)) return false;
   }
   return true;
@@ -62,7 +87,7 @@ bool Predicate::Eval(const ValueVector& values) const {
 
 std::set<EntityId> Predicate::Entities() const {
   std::set<EntityId> out;
-  for (const Clause& clause : clauses_) {
+  for (const Clause& clause : clauses()) {
     std::set<EntityId> obj = clause.Object();
     out.insert(obj.begin(), obj.end());
   }
@@ -71,7 +96,7 @@ std::set<EntityId> Predicate::Entities() const {
 
 std::vector<std::set<EntityId>> Predicate::Objects() const {
   std::vector<std::set<EntityId>> out;
-  for (const Clause& clause : clauses_) {
+  for (const Clause& clause : clauses()) {
     std::set<EntityId> obj = clause.Object();
     if (obj.empty()) continue;
     if (std::find(out.begin(), out.end(), obj) == out.end()) {
@@ -82,6 +107,8 @@ std::vector<std::set<EntityId>> Predicate::Objects() const {
 }
 
 Predicate Predicate::And(const Predicate& a, const Predicate& b) {
+  if (b.IsTrue()) return a;
+  if (a.IsTrue()) return b;
   std::vector<Clause> clauses = a.clauses();
   clauses.insert(clauses.end(), b.clauses().begin(), b.clauses().end());
   return Predicate(std::move(clauses));
@@ -99,12 +126,13 @@ std::string TermToString(const Term& term,
 
 std::string Predicate::ToString(
     const std::function<std::string(EntityId)>& name_of) const {
-  if (clauses_.empty()) return "true";
+  if (IsTrue()) return "true";
+  const std::vector<Clause>& clauses = *clauses_;
   std::ostringstream os;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
+  for (size_t i = 0; i < clauses.size(); ++i) {
     if (i > 0) os << " & ";
     os << "(";
-    const std::vector<Atom>& atoms = clauses_[i].atoms();
+    const std::vector<Atom>& atoms = clauses[i].atoms();
     for (size_t j = 0; j < atoms.size(); ++j) {
       if (j > 0) os << " | ";
       os << TermToString(atoms[j].lhs, name_of) << " "

@@ -2,6 +2,7 @@
 #define NONSERIAL_PREDICATE_PREDICATE_H_
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -87,18 +88,24 @@ using ObjectSetList = std::vector<std::set<EntityId>>;
 /// input/output conditions (specifications). The per-clause entity sets are
 /// the "objects" that drive the predicate-wise correctness classes (PWSR,
 /// PWCSR, PC, CPC).
+///
+/// Copies share their clause storage (copy-on-write): copying a predicate
+/// costs a reference-count bump, and AddClause on a shared predicate first
+/// takes a private copy, so predicates keep value semantics. Concurrent
+/// copies and const calls on one predicate are safe, as for any value type.
 class Predicate {
  public:
   Predicate() = default;
-  explicit Predicate(std::vector<Clause> clauses)
-      : clauses_(std::move(clauses)) {}
+  explicit Predicate(std::vector<Clause> clauses);
 
   /// The constant-true predicate (no clauses).
   static Predicate True() { return Predicate(); }
 
-  const std::vector<Clause>& clauses() const { return clauses_; }
-  void AddClause(Clause clause) { clauses_.push_back(std::move(clause)); }
-  bool IsTrue() const { return clauses_.empty(); }
+  const std::vector<Clause>& clauses() const {
+    return clauses_ != nullptr ? *clauses_ : NoClauses();
+  }
+  void AddClause(Clause clause);
+  bool IsTrue() const { return clauses_ == nullptr; }
 
   /// Evaluates the predicate over a complete value assignment.
   bool Eval(const ValueVector& values) const;
@@ -123,7 +130,10 @@ class Predicate {
   std::string ToString() const;
 
  private:
-  std::vector<Clause> clauses_;
+  static const std::vector<Clause>& NoClauses();
+
+  /// Null for `true` (no clauses); never points at an empty vector.
+  std::shared_ptr<std::vector<Clause>> clauses_;
 };
 
 /// Convenience atom constructors.

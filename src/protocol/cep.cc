@@ -25,8 +25,10 @@ CorrectExecutionProtocol::CorrectExecutionProtocol(VersionStore* store,
 
 void CorrectExecutionProtocol::Register(int tx, TxProfile profile) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tx >= static_cast<int>(txs_.size())) {
-    txs_.resize(tx + 1);
+  while (tx >= static_cast<int>(txs_.size())) {
+    txs_.push_back(std::make_unique<TxState>());
+  }
+  if (tx >= static_cast<int>(records_.size())) {
     records_.resize(tx + 1);
     retired_.resize(tx + 1, 0);
   }
@@ -44,7 +46,7 @@ void CorrectExecutionProtocol::Register(int tx, TxProfile profile) {
         << "transaction " << tx << " names retired predecessor " << pred;
     precedence_.AddEdge(pred, tx);
   }
-  TxState& state = txs_[tx];
+  TxState& state = State(tx);
   state.profile = std::move(profile);
   state.input_entities = state.profile.input.Entities();
   if (options_.eval_cache != nullptr) {
@@ -101,7 +103,7 @@ std::vector<VersionRef> CorrectExecutionProtocol::AllowableVersions(
   std::vector<VersionRef> out;
   const std::vector<int>& chosen = preds.empty() ? surviving : preds;
   for (int s : chosen) {
-    if (txs_[s].phase == Phase::kCommitted) {
+    if (PhaseOf(s) == Phase::kCommitted) {
       out.push_back(VersionRef{e, *store_->LatestIndexBy(e, s)});
     }
   }
@@ -129,7 +131,7 @@ std::vector<VersionRef> CorrectExecutionProtocol::AllowableVersions(
     out.push_back(VersionRef{e, 0});
   }
   for (int s : chosen) {
-    if (txs_[s].phase != Phase::kCommitted) {
+    if (PhaseOf(s) != Phase::kCommitted) {
       out.push_back(VersionRef{e, *store_->LatestIndexBy(e, s)});
     }
   }
@@ -139,7 +141,7 @@ std::vector<VersionRef> CorrectExecutionProtocol::AllowableVersions(
 CorrectExecutionProtocol::CandidateSnapshot
 CorrectExecutionProtocol::GatherCandidates(
     int tx, const std::map<EntityId, VersionRef>& pinned) const {
-  const TxState& state = txs_[tx];
+  const TxState& state = State(tx);
   int n = store_->num_entities();
   CandidateSnapshot snapshot;
   snapshot.refs.resize(n);
@@ -175,7 +177,7 @@ bool CorrectExecutionProtocol::SnapshotStillValid(
 
 void CorrectExecutionProtocol::InstallAssignment(
     int tx, const CandidateSnapshot& snapshot, const std::vector<int>& choice) {
-  TxState& state = txs_[tx];
+  TxState& state = State(tx);
   state.assigned.clear();
   for (EntityId e : state.input_entities) {
     state.assigned[e] = snapshot.refs[e][choice[e]];
@@ -194,7 +196,7 @@ bool CorrectExecutionProtocol::SolveAssignment(
     int tx, const std::map<EntityId, VersionRef>& pinned) {
   CandidateSnapshot snapshot = GatherCandidates(tx, pinned);
   std::optional<std::vector<int>> choice =
-      FindSatisfyingAssignment(txs_[tx].profile.input, snapshot.values);
+      FindSatisfyingAssignment(State(tx).profile.input, snapshot.values);
   if (!choice.has_value()) return false;
   InstallAssignment(tx, snapshot, *choice);
   return true;
@@ -202,16 +204,16 @@ bool CorrectExecutionProtocol::SolveAssignment(
 
 ReqResult CorrectExecutionProtocol::Begin(int tx) {
   std::unique_lock<std::mutex> lock(mu_);
-  NONSERIAL_CHECK(txs_[tx].phase == Phase::kIdle ||
-                  txs_[tx].phase == Phase::kValidating)
+  NONSERIAL_CHECK(State(tx).phase == Phase::kIdle ||
+                  State(tx).phase == Phase::kValidating)
       << "Begin on transaction in phase "
-      << static_cast<int>(txs_[tx].phase);
-  txs_[tx].phase = Phase::kValidating;
+      << static_cast<int>(State(tx).phase);
+  State(tx).phase = Phase::kValidating;
   // Failpoint: the definition/validation boundary. Firing simulates a
   // transient validation-phase failure; the attempt aborts and retries.
   if (NONSERIAL_FAILPOINT("cep.pre_validate")) return ReqResult::kAborted;
   // Validation, part 0: Rv locks protect the version assignment.
-  for (EntityId e : txs_[tx].input_entities) {
+  for (EntityId e : State(tx).input_entities) {
     if (locks_.HoldsRv(tx, e)) continue;
     if (locks_.Acquire(tx, e, KsLockMode::kRv) == KsLockOutcome::kBlocked) {
       read_waiters_[e].insert(tx);
@@ -240,12 +242,12 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
     CandidateSnapshot snapshot = GatherCandidates(tx, {});
     // The profile is immutable while an attempt is in flight (Register
     // precedes driving; Abort runs on this transaction's own thread).
-    const Predicate& input = txs_[tx].profile.input;
+    const Predicate& input = State(tx).profile.input;
     std::set<EntityId> changed;
     if (have_prev) {
       // Only the input entities can change between passes: every other
       // entity's candidate list is the pinned initial version.
-      for (EntityId e : txs_[tx].input_entities) {
+      for (EntityId e : State(tx).input_entities) {
         if (snapshot.refs[e] != prev_snapshot.refs[e] ||
             snapshot.values.view(e) != prev_snapshot.values.view(e)) {
           changed.insert(e);
@@ -273,7 +275,7 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
     }
     if (!choice.has_value()) {
       metrics_->validation_fails.Add();
-      validation_waiters_[tx] = txs_[tx].input_entities;
+      validation_waiters_[tx] = State(tx).input_entities;
       Emit(TraceEvent::Kind::kValidationWait, tx);
       return ReqResult::kBlocked;
     }
@@ -291,7 +293,7 @@ ReqResult CorrectExecutionProtocol::Begin(int tx) {
       metrics_->validation_starved.Add();
       if (!SolveAssignment(tx, {})) {
         metrics_->validation_fails.Add();
-        validation_waiters_[tx] = txs_[tx].input_entities;
+        validation_waiters_[tx] = State(tx).input_entities;
         Emit(TraceEvent::Kind::kValidationWait, tx);
         return ReqResult::kBlocked;
       }
@@ -308,7 +310,7 @@ ReqResult CorrectExecutionProtocol::GrantValidation(int tx) {
   // rollback of a fully assigned (but never executed) transaction.
   if (NONSERIAL_FAILPOINT("cep.post_install")) return ReqResult::kAborted;
   metrics_->validations.Add();
-  txs_[tx].phase = Phase::kExecuting;
+  State(tx).phase = Phase::kExecuting;
   // A previous blocked attempt may have parked this transaction in the
   // waiter maps and a poll-driven retry (rather than a wakeup) got it
   // here; drop the stale registrations so the maps stay tight.
@@ -319,7 +321,7 @@ ReqResult CorrectExecutionProtocol::GrantValidation(int tx) {
 
 ReqResult CorrectExecutionProtocol::Read(int tx, EntityId e, Value* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  TxState& state = txs_[tx];
+  TxState& state = State(tx);
   NONSERIAL_CHECK(state.phase == Phase::kExecuting);
   NONSERIAL_CHECK(state.input_entities.contains(e))
       << "transaction '" << state.profile.name << "' reads entity " << e
@@ -344,7 +346,7 @@ ReqResult CorrectExecutionProtocol::Read(int tx, EntityId e, Value* out) {
 
 ReqResult CorrectExecutionProtocol::Write(int tx, EntityId e, Value value) {
   std::lock_guard<std::mutex> lock(mu_);
-  TxState& state = txs_[tx];
+  TxState& state = State(tx);
   NONSERIAL_CHECK(state.phase == Phase::kExecuting);
   KsLockOutcome outcome = locks_.Acquire(tx, e, KsLockMode::kW);
   int index = store_->Append(e, value, tx);
@@ -374,7 +376,7 @@ void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
   Emit(TraceEvent::Kind::kReEval, writer, -1, e);
   for (int reader : locks_.Readers(e)) {
     if (reader == writer) continue;
-    TxState& r = txs_[reader];
+    TxState& r = State(reader);
     if (r.phase == Phase::kValidating) {
       // Not yet assigned: simply retry validation with the new version.
       // (A reader mid-optimistic-search also lands here; its chain stamp
@@ -402,7 +404,7 @@ void CorrectExecutionProtocol::ReEvaluate(int writer, EntityId e) {
 
 void CorrectExecutionProtocol::ReAssign(int reader, int writer, EntityId e) {
   metrics_->reassigns.Add();
-  TxState& r = txs_[reader];
+  TxState& r = State(reader);
   std::map<EntityId, VersionRef> pinned;
   for (EntityId read_entity : r.reads_done) {
     pinned[read_entity] = r.assigned.at(read_entity);
@@ -439,7 +441,7 @@ ReqResult CorrectExecutionProtocol::Commit(int tx) {
 
 ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
                                                  WalCommitHandle* durable) {
-  TxState& state = txs_[tx];
+  TxState& state = State(tx);
   NONSERIAL_CHECK(state.phase == Phase::kExecuting);
   // A pending forced abort (Figure 4 partial-order invalidation or a
   // cascade) kills the attempt even if the owner races it to Commit: both
@@ -447,7 +449,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
   if (state.doomed) return ReqResult::kAborted;
   // Termination rule 1: all P-predecessors have committed.
   for (int pred : state.profile.predecessors) {
-    if (txs_[pred].phase != Phase::kCommitted) {
+    if (PhaseOf(pred) != Phase::kCommitted) {
       commit_waiters_[pred].insert(tx);
       metrics_->commit_waits.Add();
       Emit(TraceEvent::Kind::kCommitWait, tx, pred);
@@ -470,7 +472,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
       metrics_->cascade_aborts.Add();
       return ReqResult::kAborted;
     }
-    if (txs_[v.writer].phase == Phase::kCommitted) continue;
+    if (PhaseOf(v.writer) == Phase::kCommitted) continue;
     if (WouldDeadlock(tx, v.writer)) return ReqResult::kAborted;
     commit_waiters_[v.writer].insert(tx);
     metrics_->commit_waits.Add();
@@ -560,11 +562,12 @@ bool CorrectExecutionProtocol::WouldDeadlock(int tx, int target) const {
 
 void CorrectExecutionProtocol::Abort(int tx) {
   std::lock_guard<std::mutex> lock(mu_);
-  TxState& state = txs_[tx];
-  if (state.phase == Phase::kIdle) return;
+  Phase phase = PhaseOf(tx);
+  if (phase == Phase::kIdle) return;
   Emit(TraceEvent::Kind::kAborted, tx);
-  NONSERIAL_CHECK(state.phase != Phase::kCommitted)
+  NONSERIAL_CHECK(phase != Phase::kCommitted)
       << "cannot abort committed transaction " << tx;
+  TxState& state = State(tx);
   std::vector<EntityId> written;
   for (const auto& entry : state.own_latest) written.push_back(entry.first);
 
@@ -579,7 +582,7 @@ void CorrectExecutionProtocol::Abort(int tx) {
   // would smuggle the rolled-back value into a committed history).
   for (int other : live_) {
     if (other == tx) continue;
-    TxState& o = txs_[other];
+    TxState& o = State(other);
     if (o.phase != Phase::kExecuting) continue;
     bool uses_victim = false;
     bool read_victim = false;
@@ -693,7 +696,9 @@ void CorrectExecutionProtocol::RestoreCommitted(int tx, TxRecord record) {
   NONSERIAL_CHECK_GE(tx, 0);
   NONSERIAL_CHECK_LT(tx, static_cast<int>(txs_.size()))
       << "RestoreCommitted before Register";
-  TxState& state = txs_[tx];
+  NONSERIAL_CHECK(!retired_[tx])
+      << "RestoreCommitted on retired transaction " << tx;
+  TxState& state = State(tx);
   NONSERIAL_CHECK(state.phase == Phase::kIdle)
       << "RestoreCommitted on an active transaction";
   state.phase = Phase::kCommitted;
@@ -707,7 +712,7 @@ bool CorrectExecutionProtocol::Retire(int tx) {
   if (!options_.retirement) return false;
   if (tx < 0 || tx >= static_cast<int>(txs_.size())) return false;
   if (retired_[tx]) return true;
-  TxState& state = txs_[tx];
+  const TxState& state = State(tx);
   if (state.phase != Phase::kCommitted && state.phase != Phase::kIdle) {
     return false;  // Still in flight; not terminal.
   }
@@ -721,13 +726,11 @@ bool CorrectExecutionProtocol::Retire(int tx) {
   }
   retired_[tx] = 1;
   live_.erase(tx);
-  // Reclaim the attempt state (assignment, views, write log, profile); the
-  // phase survives — commit rule 2 still consults the writer's phase when a
-  // live reader adopted the baseline version — and records_[tx] keeps the
-  // committed outcome for the verifier.
-  Phase phase = state.phase;
-  state = TxState();
-  state.phase = phase;
+  // Reclaim the whole state (assignment, views, write log, profile).
+  // PhaseOf still answers from records_[tx] — commit rule 2 consults the
+  // writer's phase when a live reader adopted the baseline version — and
+  // that record keeps the committed outcome for the verifier.
+  txs_[tx].reset();
   Emit(TraceEvent::Kind::kRetired, tx);
   return true;
 }
@@ -742,7 +745,9 @@ void CorrectExecutionProtocol::SetCommitToken(int tx, uint64_t token) {
   std::lock_guard<std::mutex> lock(mu_);
   NONSERIAL_CHECK(tx >= 0 && tx < static_cast<int>(txs_.size()))
       << "SetCommitToken before Register";
-  txs_[tx].commit_token = token;
+  NONSERIAL_CHECK(!retired_[tx]) << "SetCommitToken on retired transaction "
+                                 << tx;
+  State(tx).commit_token = token;
 }
 
 void CorrectExecutionProtocol::WakeValidationWaiters(EntityId e) {
@@ -761,7 +766,7 @@ std::vector<VersionRef> CorrectExecutionProtocol::PinnedVersions() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<VersionRef> out;
   for (int tx : live_) {
-    const TxState& state = txs_[tx];
+    const TxState& state = State(tx);
     if (state.phase != Phase::kValidating &&
         state.phase != Phase::kExecuting) {
       continue;
@@ -773,8 +778,10 @@ std::vector<VersionRef> CorrectExecutionProtocol::PinnedVersions() const {
 
 const ValueVector* CorrectExecutionProtocol::InputView(int tx) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tx < 0 || tx >= static_cast<int>(txs_.size())) return nullptr;
-  const TxState& state = txs_[tx];
+  if (tx < 0 || tx >= static_cast<int>(txs_.size()) || retired_[tx]) {
+    return nullptr;
+  }
+  const TxState& state = State(tx);
   if (state.phase != Phase::kExecuting &&
       state.phase != Phase::kCommitted) {
     return nullptr;
@@ -785,14 +792,21 @@ const ValueVector* CorrectExecutionProtocol::InputView(int tx) const {
 bool CorrectExecutionProtocol::IsCommitted(int tx) const {
   std::lock_guard<std::mutex> lock(mu_);
   return tx >= 0 && tx < static_cast<int>(txs_.size()) &&
-         txs_[tx].phase == Phase::kCommitted;
+         PhaseOf(tx) == Phase::kCommitted;
+}
+
+CorrectExecutionProtocol::Phase CorrectExecutionProtocol::PhaseOf(
+    int tx) const {
+  if (txs_[tx] != nullptr) return txs_[tx]->phase;
+  return records_[tx].committed ? Phase::kCommitted : Phase::kIdle;
 }
 
 void CorrectExecutionProtocol::Wake(int tx) { wakeups_.insert(tx); }
 
 void CorrectExecutionProtocol::ForceAbort(int tx, TraceEvent::Kind reason) {
-  TxState& state = txs_[tx];
-  if (state.phase == Phase::kIdle || state.phase == Phase::kCommitted) return;
+  Phase phase = PhaseOf(tx);
+  if (phase == Phase::kIdle || phase == Phase::kCommitted) return;
+  TxState& state = State(tx);
   if (state.doomed) return;  // Already condemned (signal may be drained).
   switch (reason) {
     case TraceEvent::Kind::kPoAbort:

@@ -157,9 +157,12 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   }
 
   /// Records for committed transactions (indexed by tx id; uncommitted
-  /// transactions have committed == false). Only safe once driving threads
-  /// have quiesced — the verifier runs after the drivers join.
-  const std::vector<TxRecord>& records() const { return records_; }
+  /// transactions have committed == false), as a copy. Only safe once
+  /// driving threads have quiesced — the verifier runs after the drivers
+  /// join.
+  std::vector<TxRecord> records() const {
+    return std::vector<TxRecord>(records_.begin(), records_.end());
+  }
 
   // Trace emission uses the base-interface SetObserver (controller.h);
   // events are emitted under the engine lock, in decision order.
@@ -306,13 +309,23 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   /// the engine).
   mutable std::mutex mu_;
 
-  /// Deque, not vector, on purpose: sessions Register new transactions
-  /// while other transactions' validation searches run outside the engine
-  /// lock holding references into their own TxState (Begin's out-of-lock
-  /// window). Deque growth never relocates existing elements, so those
-  /// references stay valid; a vector's resize would dangle them.
-  std::deque<TxState> txs_;
-  std::vector<TxRecord> records_;
+  /// The state of a registered transaction that is not retired.
+  TxState& State(int tx) { return *txs_[tx]; }
+  const TxState& State(int tx) const { return *txs_[tx]; }
+  /// The phase of any registered transaction. A retired one keeps no
+  /// state; it retired committed or idle, as its record says.
+  Phase PhaseOf(int tx) const;
+
+  /// One heap block per transaction, on purpose: sessions Register new
+  /// transactions while other transactions' validation searches run
+  /// outside the engine lock holding references into their own TxState
+  /// (Begin's out-of-lock window), and a block never moves when the table
+  /// grows. Retire frees the block, so a retired transaction costs a null
+  /// slot here.
+  std::vector<std::unique_ptr<TxState>> txs_;
+  /// A deque, so no table of all records is ever reallocated from the
+  /// registering sessions' threads while a history grows.
+  std::deque<TxRecord> records_;
   /// Registered, unretired transaction ids — the scan set for
   /// AllowableVersions, the abort cascade, and PinnedVersions when
   /// Options::retirement is on (always maintained; cheap either way).

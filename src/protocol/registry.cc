@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "protocol/cep.h"
 #include "protocol/mvto.h"
 #include "protocol/pw_mvto.h"
 
@@ -48,10 +47,11 @@ StatusOr<ProtocolKind> ParseProtocolKind(const std::string& name) {
 
 ControllerFactory MakeControllerFactory(ProtocolKind kind,
                                         ProtocolSetup setup) {
+  using CepOptions = CorrectExecutionProtocol::Options;
   switch (kind) {
     case ProtocolKind::kCep:
-      return [](VersionStore* store) {
-        return std::make_unique<CorrectExecutionProtocol>(store);
+      return [](VersionStore* store, const CepOptions& options) {
+        return std::make_unique<CorrectExecutionProtocol>(store, options);
       };
     case ProtocolKind::kStrict2pl:
     case ProtocolKind::kPredicatewise2pl: {
@@ -59,20 +59,22 @@ ControllerFactory MakeControllerFactory(ProtocolKind kind,
       options.predicatewise = kind == ProtocolKind::kPredicatewise2pl;
       options.objects = std::move(setup.objects);
       options.planned_ops = std::move(setup.planned_ops);
-      return [options](VersionStore* store) {
+      return [options](VersionStore* store, const CepOptions&) {
         return std::make_unique<TwoPhaseLockingController>(store, options);
       };
     }
     case ProtocolKind::kMvto:
-      return [](VersionStore* store) {
+      return [](VersionStore* store, const CepOptions&) {
         return std::make_unique<MvtoController>(store);
       };
     case ProtocolKind::kPwMvto:
-      return [objects = std::move(setup.objects)](VersionStore* store) {
+      return [objects = std::move(setup.objects)](VersionStore* store,
+                                                  const CepOptions&) {
         return std::make_unique<PwMvtoController>(store, objects);
       };
     case ProtocolKind::kNestedCep:
-      return [nested = std::move(setup.nested)](VersionStore* store) {
+      return [nested = std::move(setup.nested)](VersionStore* store,
+                                                const CepOptions&) {
         return std::make_unique<NestedCepController>(store, nested);
       };
   }

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "model/entity.h"
+#include "protocol/cep.h"
 #include "protocol/controller.h"
 #include "protocol/nested_cep.h"
 #include "protocol/two_phase_locking.h"
@@ -38,9 +39,11 @@ const char* ProtocolKindName(ProtocolKind kind);
 StatusOr<ProtocolKind> ParseProtocolKind(const std::string& name);
 
 /// Builds a fresh protocol instance over a store. The engine calls it once
-/// at construction and once per crash recovery; the simulator once per run.
-using ControllerFactory =
-    std::function<std::unique_ptr<ConcurrencyController>(VersionStore*)>;
+/// at construction and once per crash recovery, passing its own protocol
+/// options (metrics sink, eval cache, retirement); CEP is built with them,
+/// the other protocols ignore them.
+using ControllerFactory = std::function<std::unique_ptr<ConcurrencyController>(
+    VersionStore*, const CorrectExecutionProtocol::Options&)>;
 
 /// Workload-derived configuration. Each caller derives it from its own
 /// workload or spec; every protocol reads only the fields it needs.

@@ -102,6 +102,10 @@ SimResult Simulator::Run(
   EngineOptions options;
   options.initial = workload.initial;
   options.controller_factory = factory;
+  // A hosted CEP counts into this sink; it lives as long as the controller
+  // handed out through `controller_out`, which outlives the engine.
+  auto metrics = std::make_shared<ProtocolMetrics>();
+  options.protocol.metrics = metrics.get();
   Engine engine(std::move(options));
   SchedulerConfig schedule;
   schedule.restart_backoff = config_.restart_backoff;
@@ -145,7 +149,12 @@ SimResult Simulator::Run(
   }  // Closing the sessions rolls back what the watchdog cut short.
   engine.Shutdown();
   if (store_out != nullptr) *store_out = engine.store_ref();
-  if (controller_out != nullptr) *controller_out = engine.controller_ref();
+  if (controller_out != nullptr) {
+    std::shared_ptr<ConcurrencyController> controller =
+        engine.controller_ref();
+    *controller_out = std::shared_ptr<ConcurrencyController>(
+        controller.get(), [controller, metrics](ConcurrencyController*) {});
+  }
   return result;
 }
 

@@ -41,6 +41,43 @@ TEST_F(CepTest, SingleTransactionLifecycle) {
   EXPECT_EQ(store_.LatestCommittedSnapshot(), (ValueVector{60, 50}));
 }
 
+// Retire frees a transaction's state; the protocol still answers for it
+// from its record (committed or idle), and a later reader still gets the
+// retired writer's committed version.
+TEST_F(CepTest, RetiredTransactionsKeepTheirPhaseAndRecord) {
+  CorrectExecutionProtocol::Options options;
+  options.retirement = true;
+  CorrectExecutionProtocol cep(&store_, options);
+  cep.Register(0, Profile("t0", Range(0, 0, 100)));
+  ASSERT_EQ(cep.Begin(0), ReqResult::kGranted);
+  ASSERT_EQ(cep.Write(0, 0, 70), ReqResult::kGranted);
+  cep.WriteDone(0, 0);
+  ASSERT_EQ(cep.Commit(0), ReqResult::kGranted);
+  cep.Register(1, Profile("t1", Range(0, 0, 100)));
+  ASSERT_EQ(cep.Begin(1), ReqResult::kGranted);
+  cep.Abort(1);
+  ASSERT_TRUE(cep.Retire(0));
+  ASSERT_TRUE(cep.Retire(1));
+  EXPECT_TRUE(cep.IsRetired(0));
+  EXPECT_TRUE(cep.IsCommitted(0));
+  EXPECT_FALSE(cep.IsCommitted(1));
+  EXPECT_EQ(cep.InputView(0), nullptr);
+  cep.Abort(1);         // Idle: a no-op.
+  cep.InjectAbort(0);   // Terminal: a no-op.
+  cep.InjectAbort(1);
+  EXPECT_TRUE(cep.TakeForcedAborts().empty());
+  ASSERT_TRUE(cep.records()[0].committed);
+  EXPECT_EQ(cep.records()[0].name, "t0");
+  EXPECT_FALSE(cep.records()[1].committed);
+
+  cep.Register(2, Profile("t2", Range(0, 0, 100)));
+  ASSERT_EQ(cep.Begin(2), ReqResult::kGranted);
+  Value v = 0;
+  ASSERT_EQ(cep.Read(2, 0, &v), ReqResult::kGranted);
+  EXPECT_EQ(v, 70);
+  EXPECT_EQ(cep.Commit(2), ReqResult::kGranted);
+}
+
 // The assignment search evaluates clauses over candidate stripes directly;
 // an attached eval cache serves only the output check at commit, so
 // validating a multi-clause I_t must not probe it.

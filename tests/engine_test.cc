@@ -385,6 +385,40 @@ TEST(EngineSessionTest, RegistryProtocolsServeConcurrentSessions) {
   }
 }
 
+// A registry-built CEP is built from the engine's protocol options: it
+// retires terminated transactions and counts into the engine's sink, as the
+// default-built CEP does.
+TEST(EngineSessionTest, RegistryBuiltCepRetiresLikeTheDefault) {
+  std::vector<int64_t> retired;
+  for (bool registry : {false, true}) {
+    ProtocolMetrics metrics;
+    EngineOptions options = BaseOptions(&metrics);
+    options.retire_terminated_tx = true;
+    if (registry) {
+      options.controller_factory = MakeControllerFactory(ProtocolKind::kCep);
+    }
+    Engine engine(std::move(options));
+    ASSERT_NE(engine.cep(), nullptr);
+    EXPECT_EQ(engine.cep()->metrics(), &metrics);
+    std::unique_ptr<Session> session = engine.OpenSession();
+    for (int t = 0; t < 5; ++t) {
+      ASSERT_TRUE(session
+                      ->Begin(Spec("t" + std::to_string(t), Range(0, 0, 100),
+                                   Range(0, 0, 100)))
+                      .ok());
+      StatusOr<Value> v = session->Read(0);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      ASSERT_TRUE(session->Write(0, *v + 1).ok());
+      ASSERT_TRUE(session->Commit().ok());
+    }
+    EXPECT_EQ(engine.store()->LatestCommittedSnapshot(), (ValueVector{55, 50}));
+    EXPECT_GT(metrics.validations.value(), 0);
+    retired.push_back(metrics.engine_retired_tx.value());
+  }
+  EXPECT_GT(retired[0], 0);
+  EXPECT_EQ(retired[1], retired[0]);
+}
+
 TEST(EngineSessionTest, WriteParksOnABlockingLockInsteadOfVanishing) {
   // S2PL blocks a write behind another transaction's read lock. The write
   // must park (here: until the blocked budget aborts it), never report OK

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "model/execution.h"
 
 namespace nonserial {
@@ -89,6 +96,157 @@ TEST(ExecutionCheckTest, PartialOrderInvalidationDetected) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("partial order invalidation"),
             std::string::npos);
+}
+
+// A root over n empty leaves with partial order P and reads-from R. Only the
+// structure is checked, so the inputs stay empty.
+struct FlatExecution {
+  TransactionTree tree;
+  TreeExecution exec;
+  int root = -1;
+
+  FlatExecution(int n, std::vector<std::pair<int, int>> p,
+                std::vector<std::pair<int, int>> r) {
+    std::vector<int> leaves;
+    for (int i = 0; i < n; ++i) {
+      leaves.push_back(tree.AddLeaf("t." + std::to_string(i), LeafProgram()));
+    }
+    root = tree.AddInternal("t", leaves, std::move(p), Specification(), -1);
+    tree.SetRoot(root);
+    NodeExecution ne;
+    ne.inputs.assign(n, ValueVector());
+    ne.reads_from = std::move(r);
+    exec.node_executions[root] = std::move(ne);
+  }
+
+  Status Validate() const { return ValidateExecutionStructure(tree, exec); }
+
+  std::string Violation(int i, int j) const {
+    return "partial order invalidation at node " + std::to_string(root) +
+           ": children " + std::to_string(i) + " -> " + std::to_string(j) +
+           " ordered by P but R+ orders " + std::to_string(j) + " -> " +
+           std::to_string(i);
+  }
+};
+
+TEST(OrderInvalidationTest, MixedCycleAcrossPAndRAccepted) {
+  // P a->b, R b->c, P c->d, R d->a: the union is cyclic, but no pair is
+  // ordered one way by P+ and the other way by R+.
+  FlatExecution f(4, {{0, 1}, {2, 3}}, {{1, 2}, {3, 0}});
+  EXPECT_TRUE(f.Validate().ok()) << f.Validate().ToString();
+}
+
+TEST(OrderInvalidationTest, ReachBackThroughAnRCycleRejected) {
+  // P 0->1; R reaches 1 -> 0 only through the cycle 2 <-> 3.
+  FlatExecution f(4, {{0, 1}}, {{1, 2}, {2, 3}, {3, 2}, {3, 0}});
+  Status status = f.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), f.Violation(0, 1));
+  // The P-ordered pair lies on one R cycle: its component reaches itself.
+  FlatExecution inside(3, {{0, 1}}, {{0, 2}, {2, 1}, {1, 0}});
+  EXPECT_EQ(inside.Validate().message(), inside.Violation(0, 1));
+}
+
+TEST(OrderInvalidationTest, ReachBackThroughASelfLoopRejected) {
+  // P 0->1; R reaches 1 -> 0 only through 2, which reads from itself.
+  FlatExecution f(3, {{0, 1}}, {{1, 2}, {2, 2}, {2, 0}});
+  Status status = f.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), f.Violation(0, 1));
+  // Self-loops alone order no pair against P.
+  FlatExecution loops(3, {{0, 1}, {1, 2}}, {{0, 0}, {1, 1}, {2, 2}});
+  EXPECT_TRUE(loops.Validate().ok());
+}
+
+TEST(OrderInvalidationTest, ReportsTheRowMajorFirstPairAcrossBlocks) {
+  // Violations (70, 100) in source block 1 and (5, 120), (5, 110), (10, 20)
+  // in block 0; the first in row-major order is (5, 110).
+  std::vector<std::pair<int, int>> p = {{70, 100}, {5, 120}, {5, 110},
+                                        {10, 20}};
+  std::vector<std::pair<int, int>> r = {{100, 70}, {120, 5}, {110, 5},
+                                        {20, 10}};
+  FlatExecution f(130, p, r);
+  EXPECT_EQ(f.Validate().message(), f.Violation(5, 110));
+  // With block 0 clean, block 1's violation is reported.
+  FlatExecution block1(130, {{70, 100}, {5, 120}}, {{100, 70}});
+  EXPECT_EQ(block1.Validate().message(), block1.Violation(70, 100));
+}
+
+// Non-empty-path reachability by DFS from every node: reach[i][j] iff a
+// path of at least one edge leads from i to j.
+std::vector<std::vector<bool>> BruteForceReach(
+    int n, const std::vector<std::pair<int, int>>& edges) {
+  std::vector<std::vector<int>> out(n);
+  for (auto [a, b] : edges) out[a].push_back(b);
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (int s = 0; s < n; ++s) {
+    std::vector<int> stack = out[s];
+    while (!stack.empty()) {
+      int v = stack.back();
+      stack.pop_back();
+      if (reach[s][v]) continue;
+      reach[s][v] = true;
+      for (int w : out[v]) stack.push_back(w);
+    }
+  }
+  return reach;
+}
+
+TEST(OrderInvalidationTest, MatchesBruteForceReachabilityOnRandomGraphs) {
+  int rejected = 0;
+  int accepted = 0;
+  for (uint64_t seed = 1; seed <= 600; ++seed) {
+    Rng rng(seed);
+    int n = 1 + static_cast<int>(rng.Uniform(200));
+    // P is acyclic: its edges follow a random permutation of the children.
+    std::vector<int> rank(n);
+    std::iota(rank.begin(), rank.end(), 0);
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(rank[i], rank[rng.Uniform(static_cast<uint32_t>(i + 1))]);
+    }
+    std::vector<std::pair<int, int>> p;
+    int p_edges = static_cast<int>(rng.Uniform(2 * n + 1));
+    for (int e = 0; e < p_edges && n > 1; ++e) {
+      int a = static_cast<int>(rng.Uniform(n));
+      int b = static_cast<int>(rng.Uniform(n));
+      if (a == b) continue;
+      if (a > b) std::swap(a, b);
+      p.push_back({rank[a], rank[b]});
+    }
+    // R is arbitrary: cycles and self-loops included. Sparse R leaves many
+    // histories valid; dense R rejects most.
+    std::vector<std::pair<int, int>> r;
+    int r_edges = static_cast<int>(rng.Uniform(n + 1)) / (1 + seed % 4);
+    for (int e = 0; e < r_edges; ++e) {
+      int a = static_cast<int>(rng.Uniform(n));
+      int b = rng.Bernoulli(0.05) ? a : static_cast<int>(rng.Uniform(n));
+      r.push_back({a, b});
+    }
+
+    std::vector<std::vector<bool>> p_reach = BruteForceReach(n, p);
+    std::vector<std::vector<bool>> r_reach = BruteForceReach(n, r);
+    FlatExecution f(n, p, r);
+    std::string expected;  // The row-major first violation, if any.
+    for (int i = 0; i < n && expected.empty(); ++i) {
+      for (int j = 0; j < n; ++j) {
+        if (p_reach[i][j] && r_reach[j][i]) {
+          expected = f.Violation(i, j);
+          break;
+        }
+      }
+    }
+    Status status = f.Validate();
+    ASSERT_EQ(status.ok(), expected.empty()) << "seed " << seed;
+    if (!status.ok()) {
+      ASSERT_EQ(status.message(), expected) << "seed " << seed;
+      ++rejected;
+    } else {
+      ++accepted;
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(accepted, 100);
 }
 
 TEST(ExecutionCheckTest, ParentBasedViolationDetected) {

@@ -82,27 +82,6 @@ TEST(DigraphTest, ReachesFollowsPaths) {
   EXPECT_FALSE(g.Reaches(0, 4));
 }
 
-TEST(DigraphTest, TransitiveClosure) {
-  Digraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  auto closure = g.TransitiveClosure();
-  EXPECT_TRUE(closure[0][1]);
-  EXPECT_TRUE(closure[0][2]);
-  EXPECT_FALSE(closure[0][3]);
-  EXPECT_FALSE(closure[2][0]);
-  EXPECT_FALSE(closure[0][0]);  // Non-empty paths only; no self loop.
-}
-
-TEST(DigraphTest, TransitiveClosureWithCycleIncludesSelf) {
-  Digraph g(2);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 0);
-  auto closure = g.TransitiveClosure();
-  EXPECT_TRUE(closure[0][0]);
-  EXPECT_TRUE(closure[1][1]);
-}
-
 TEST(DigraphTest, StronglyConnectedComponents) {
   Digraph g(5);
   g.AddEdge(0, 1);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/status.h"
 #include "predicate/predicate.h"
 
@@ -112,6 +115,69 @@ TEST(PredicateTest, AndConcatenatesClauses) {
   EXPECT_EQ(both.clauses().size(), 2u);
   EXPECT_TRUE(both.Eval({0, 0}));
   EXPECT_FALSE(both.Eval({-1, 0}));
+}
+
+TEST(PredicateTest, CopiesShareClausesUntilOneSideMutates) {
+  Predicate a;
+  a.AddClause(Clause({EntityVsConst(0, CompareOp::kGe, 0)}));
+  Predicate b = a;
+  EXPECT_EQ(&a.clauses(), &b.clauses());
+  b.AddClause(Clause({EntityVsConst(1, CompareOp::kLt, 5)}));
+  EXPECT_NE(&a.clauses(), &b.clauses());
+  // The original is unchanged.
+  EXPECT_EQ(a.clauses().size(), 1u);
+  EXPECT_EQ(a.ToString(), "(e0 >= 0)");
+  EXPECT_TRUE(a.Eval({0, 9}));
+  EXPECT_EQ(b.ToString(), "(e0 >= 0) & (e1 < 5)");
+  EXPECT_FALSE(b.Eval({0, 9}));
+  // Mutating the original leaves the copy alone too.
+  Predicate c = a;
+  a.AddClause(Clause({EntityVsConst(0, CompareOp::kEq, 3)}));
+  EXPECT_EQ(c.ToString(), "(e0 >= 0)");
+  EXPECT_TRUE(c.Eval({0, 0}));
+  EXPECT_FALSE(a.Eval({0, 0}));
+}
+
+TEST(PredicateTest, TrueAndAndOfSharedPredicates) {
+  EXPECT_TRUE(Predicate().IsTrue());
+  EXPECT_TRUE(Predicate::True().IsTrue());
+  EXPECT_TRUE(Predicate::True().clauses().empty());
+  EXPECT_TRUE(Predicate(std::vector<Clause>{}).IsTrue());
+  Predicate a;
+  a.AddClause(Clause({EntityVsConst(0, CompareOp::kGe, 0)}));
+  Predicate shared = a;
+  Predicate both = Predicate::And(a, shared);
+  EXPECT_EQ(both.ToString(), "(e0 >= 0) & (e0 >= 0)");
+  EXPECT_EQ(Predicate::And(a, Predicate::True()).ToString(), "(e0 >= 0)");
+  EXPECT_EQ(Predicate::And(Predicate::True(), a).ToString(), "(e0 >= 0)");
+  EXPECT_TRUE(Predicate::And(Predicate(), Predicate()).IsTrue());
+  both.AddClause(Clause({EntityVsConst(0, CompareOp::kLt, 1)}));
+  EXPECT_EQ(a.ToString(), "(e0 >= 0)");
+  EXPECT_EQ(shared.clauses().size(), 1u);
+}
+
+TEST(PredicateTest, ConcurrentCopiesAndEvaluationsOfOnePredicate) {
+  Predicate p;
+  p.AddClause(Clause({EntityVsConst(0, CompareOp::kGe, 0)}));
+  p.AddClause(Clause({EntityVsEntity(0, CompareOp::kLt, 1)}));
+  std::vector<int> holds(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&p, &holds, t] {
+      for (int k = 0; k < 2000; ++k) {
+        Predicate copy = p;
+        if (k % 100 == 0) {
+          copy.AddClause(Clause({EntityVsConst(1, CompareOp::kEq, k)}));
+        }
+        if (copy.Eval({t, t + 1}) && p.Eval({t, t + 1})) ++holds[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // A thread's 20 copies that add e1 = k (k a multiple of 100, never
+  // t + 1) fail; its other 1,980 copies hold.
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(holds[t], 1980) << "thread " << t;
+  EXPECT_EQ(p.clauses().size(), 2u);
 }
 
 TEST(PredicateTest, ToStringReadable) {
