@@ -165,14 +165,14 @@ StatusOr<Expr> Database::Var(const std::string& entity) const {
 }
 
 Predicate Database::DerivePredicate(const std::set<EntityId>& entities) const {
-  Predicate out;
+  std::vector<Clause> clauses;
   std::set<EntityId> covered;
   for (const Clause& clause : constraint_.clauses()) {
     std::set<EntityId> object = clause.Object();
     if (object.empty()) continue;
     if (std::includes(entities.begin(), entities.end(), object.begin(),
                       object.end())) {
-      out.AddClause(clause);
+      clauses.push_back(clause);
       covered.insert(object.begin(), object.end());
     }
   }
@@ -180,10 +180,10 @@ Predicate Database::DerivePredicate(const std::set<EntityId>& entities) const {
     if (!covered.contains(e)) {
       // Reflexive clause: always true, but makes the predicate mention e so
       // the entity lands in the transaction's input set N_t.
-      out.AddClause(Clause({EntityVsEntity(e, CompareOp::kEq, e)}));
+      clauses.push_back(Clause({EntityVsEntity(e, CompareOp::kEq, e)}));
     }
   }
-  return out;
+  return Predicate(std::move(clauses));
 }
 
 StatusOr<SimWorkload> Database::BuildWorkload() const {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -33,38 +35,115 @@ Digraph EdgesToDigraph(int n, const std::vector<std::pair<int, int>>& edges) {
   return g;
 }
 
+// The successors of n nodes from a (from, to) pair list, in compressed
+// rows: node v's are target[start[v]] .. target[start[v + 1] - 1], in list
+// order. With `reverse`, each pair is filed under its `to` end instead.
+struct Adjacency {
+  std::vector<int> start;
+  std::vector<int> target;
+
+  Adjacency(int n, const std::vector<std::pair<int, int>>& edges,
+            bool reverse = false)
+      : start(n + 1, 0), target(edges.size()) {
+    for (auto [a, b] : edges) ++start[(reverse ? b : a) + 1];
+    for (int v = 0; v < n; ++v) start[v + 1] += start[v];
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (auto [a, b] : edges) {
+      if (reverse) std::swap(a, b);
+      target[fill[a]++] = b;
+    }
+  }
+
+  std::span<const int> Of(int v) const {
+    return std::span<const int>(target).subspan(start[v],
+                                                start[v + 1] - start[v]);
+  }
+};
+
+// Strongly connected components of `g` (Tarjan's algorithm with an explicit
+// stack); ids are in reverse topological order of the condensation.
+std::vector<int> Components(const Adjacency& g, int* num_components) {
+  int n = static_cast<int>(g.start.size()) - 1;
+  std::vector<int> index(n, -1), low(n, 0), comp(n, -1), stack;
+  std::vector<std::pair<int, int>> path;  // (node, next edge slot)
+  int next_index = 0;
+  *num_components = 0;
+  for (int root = 0; root < n; ++root) {
+    if (index[root] >= 0) continue;
+    index[root] = low[root] = next_index++;
+    stack.push_back(root);
+    path.push_back({root, g.start[root]});
+    while (!path.empty()) {
+      auto& [v, slot] = path.back();
+      if (slot < g.start[v + 1]) {
+        int w = g.target[slot++];
+        if (index[w] < 0) {
+          index[w] = low[w] = next_index++;
+          stack.push_back(w);
+          path.push_back({w, g.start[w]});
+        } else if (comp[w] < 0) {  // Visited and still on the stack.
+          low[v] = std::min(low[v], index[w]);
+        }
+        continue;
+      }
+      int done = v;
+      path.pop_back();
+      if (!path.empty()) {
+        int parent = path.back().first;
+        low[parent] = std::min(low[parent], low[done]);
+      }
+      if (low[done] == index[done]) {
+        int w;
+        do {
+          w = stack.back();
+          stack.pop_back();
+          comp[w] = *num_components;
+        } while (w != done);
+        ++*num_components;
+      }
+    }
+  }
+  return comp;
+}
+
 // (t_i, t_j) ∈ P+  =>  (t_j, t_i) ∉ R+, for the n children of node `id`.
 // Sweeps the sources in blocks of 64, one bit per source: pa[v] holds the
 // block sources that reach v by a P+ path, rd[c] the block sources that R's
-// component c reaches by a non-empty R path, so a violation is a bit of
-// pa[j] & rd[comp[j]]. O((n + m) * n / 64) time and O(n) words; the first
-// violation reported is the row-major first (i, j), i.e. the smallest i,
-// then the smallest j. P must be acyclic (TransactionTree::Validate).
+// component c reaches by a non-empty R path, plus c's own members, so a
+// violation is a bit of pa[j] & rd[comp[j]]. O((n + m) * n / 64) time and
+// O(n + m) words; the first violation reported is the row-major first
+// (i, j), i.e. the smallest i, then the smallest j. P must be acyclic
+// (TransactionTree::Validate).
 Status CheckOrderNotInvalidated(
     int id, int n, const std::vector<std::pair<int, int>>& p_edges,
     const std::vector<std::pair<int, int>>& r_edges) {
-  Digraph p = EdgesToDigraph(n, p_edges);
-  Digraph r = EdgesToDigraph(n, r_edges);
-  std::optional<std::vector<int>> p_topo = p.TopologicalOrder();
-  NONSERIAL_CHECK(p_topo.has_value()) << "partial order of node " << id
-                                      << " is cyclic";
+  Adjacency p(n, p_edges);
+  Adjacency r(n, r_edges);
+  // A topological order of P (Kahn).
+  std::vector<int> indegree(n, 0);
+  for (int w : p.target) ++indegree[w];
+  std::vector<int> p_topo;
+  p_topo.reserve(n);
+  for (int v = 0; v < n; ++v) {
+    if (indegree[v] == 0) p_topo.push_back(v);
+  }
+  for (size_t k = 0; k < p_topo.size(); ++k) {
+    for (int w : p.Of(p_topo[k])) {
+      if (--indegree[w] == 0) p_topo.push_back(w);
+    }
+  }
+  NONSERIAL_CHECK(static_cast<int>(p_topo.size()) == n)
+      << "partial order of node " << id << " is cyclic";
   // R's condensation. Tarjan ids are reverse-topological, so ascending id
-  // order visits a component's successors first. A component on a cycle
-  // (several members, or a self-loop) reaches its own members.
+  // order visits a component's successors first.
   int num_comps = 0;
-  std::vector<int> comp = r.StronglyConnectedComponents(&num_comps);
+  std::vector<int> comp = Components(r, &num_comps);
   std::vector<int> comp_start(num_comps + 1, 0);
   for (int v = 0; v < n; ++v) ++comp_start[comp[v] + 1];
   for (int c = 0; c < num_comps; ++c) comp_start[c + 1] += comp_start[c];
   std::vector<int> members(n);
   std::vector<int> fill(comp_start.begin(), comp_start.end() - 1);
   for (int v = 0; v < n; ++v) members[fill[comp[v]]++] = v;
-  std::vector<bool> cyclic(num_comps, false);
-  for (int v = 0; v < n; ++v) {
-    if (comp_start[comp[v] + 1] - comp_start[comp[v]] > 1 || r.HasEdge(v, v)) {
-      cyclic[comp[v]] = true;
-    }
-  }
 
   std::vector<uint64_t> pa(n);
   std::vector<uint64_t> in_block(num_comps);
@@ -75,18 +154,20 @@ Status CheckOrderNotInvalidated(
       return v >= base && v < end ? uint64_t{1} << (v - base) : 0;
     };
     std::fill(pa.begin(), pa.end(), 0);
-    for (int u : *p_topo) {
+    for (int u : p_topo) {
       uint64_t from_u = pa[u] | bit(u);
       if (from_u == 0) continue;
-      for (int w : p.OutEdges(u)) pa[w] |= from_u;
+      for (int w : p.Of(u)) pa[w] |= from_u;
     }
     std::fill(in_block.begin(), in_block.end(), 0);
     for (int v = base; v < end; ++v) in_block[comp[v]] |= bit(v);
+    // A component reaches its own members: those of a cycle by R paths;
+    // a lone v's own bit is harmless, as P is acyclic and pa[v] lacks it.
     for (int c = 0; c < num_comps; ++c) {
-      uint64_t reach = cyclic[c] ? in_block[c] : 0;
+      uint64_t reach = in_block[c];
       for (int k = comp_start[c]; k < comp_start[c + 1]; ++k) {
-        for (int w : r.OutEdges(members[k])) {
-          if (comp[w] != c) reach |= in_block[comp[w]] | rd[comp[w]];
+        for (int w : r.Of(members[k])) {
+          if (comp[w] != c) reach |= rd[comp[w]];
         }
       }
       rd[c] = reach;
@@ -223,33 +304,36 @@ Status CheckParentBased(const TransactionTree& tree,
     const NodeExecution& ne = it->second;
     NONSERIAL_ASSIGN_OR_RETURN(ValueVector parent_input, eval.InputOf(id));
     int n = static_cast<int>(node.children.size());
-    // Pre-compute sibling outputs feeding each child.
-    std::vector<std::vector<int>> feeders(n);
-    for (auto [from, to] : ne.reads_from) feeders[to].push_back(from);
+    // The siblings each child reads from.
+    Adjacency feeders(n, ne.reads_from, /*reverse=*/true);
+    // Each feeder's output is computed once per child and clears every
+    // entity it justifies; an entity left over is reported (the smallest).
+    std::vector<EntityId> unjustified;
     for (int i = 0; i < n; ++i) {
       const ValueVector& x_i = ne.inputs[i];
       if (x_i.size() != parent_input.size()) {
         return Status::InvalidArgument(
             StrCat("input of child ", i, " of node ", id, " has wrong size"));
       }
+      unjustified.clear();
       for (size_t e = 0; e < x_i.size(); ++e) {
-        if (x_i[e] == parent_input[e]) continue;
-        bool justified = false;
-        for (int j : feeders[i]) {
-          NONSERIAL_ASSIGN_OR_RETURN(UniqueState out_j,
-                                     eval.OutputOf(node.children[j]));
-          if (out_j[e] == x_i[e]) {
-            justified = true;
-            break;
-          }
+        if (x_i[e] != parent_input[e]) {
+          unjustified.push_back(static_cast<EntityId>(e));
         }
-        if (!justified) {
-          return Status::FailedPrecondition(StrCat(
-              "child ", i, " of node ", id, " reads entity ", e,
-              " = ", x_i[e],
-              " which comes neither from the parent input nor from any "
-              "sibling it reads from"));
-        }
+      }
+      for (int j : feeders.Of(i)) {
+        if (unjustified.empty()) break;
+        NONSERIAL_ASSIGN_OR_RETURN(UniqueState out_j,
+                                   eval.OutputOf(node.children[j]));
+        std::erase_if(unjustified,
+                      [&](EntityId e) { return out_j[e] == x_i[e]; });
+      }
+      if (!unjustified.empty()) {
+        EntityId e = unjustified.front();
+        return Status::FailedPrecondition(StrCat(
+            "child ", i, " of node ", id, " reads entity ", e, " = ", x_i[e],
+            " which comes neither from the parent input nor from any "
+            "sibling it reads from"));
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "predicate/predicate.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <sstream>
 
@@ -66,16 +65,9 @@ const std::vector<Clause>& Predicate::NoClauses() {
 }
 
 void Predicate::AddClause(Clause clause) {
-  if (clauses_ == nullptr) {
-    clauses_ = std::make_shared<std::vector<Clause>>();
-  } else if (clauses_.use_count() != 1) {
-    clauses_ = std::make_shared<std::vector<Clause>>(*clauses_);
-  } else {
-    // Sole owner: a copy released on another thread read the clauses before
-    // its (release) decrement; order those reads before this write.
-    std::atomic_thread_fence(std::memory_order_acquire);
-  }
-  clauses_->push_back(std::move(clause));
+  std::vector<Clause> clauses = this->clauses();
+  clauses.push_back(std::move(clause));
+  clauses_ = std::make_shared<const std::vector<Clause>>(std::move(clauses));
 }
 
 bool Predicate::Eval(const ValueVector& values) const {
@@ -179,11 +171,11 @@ class Parser {
       : text_(text), resolve_(resolve) {}
 
   StatusOr<Predicate> Parse() {
-    Predicate predicate;
+    std::vector<Clause> clauses;
     for (;;) {
       auto clause = ParseClause();
       if (!clause.ok()) return clause.status();
-      predicate.AddClause(std::move(clause).value());
+      clauses.push_back(std::move(clause).value());
       SkipSpace();
       if (!Consume('&')) break;
     }
@@ -192,7 +184,7 @@ class Parser {
       return Status::InvalidArgument(
           StrCat("trailing input at offset ", pos_, " in predicate: ", text_));
     }
-    return predicate;
+    return Predicate(std::move(clauses));
   }
 
  private:

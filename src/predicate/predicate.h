@@ -89,10 +89,12 @@ using ObjectSetList = std::vector<std::set<EntityId>>;
 /// the "objects" that drive the predicate-wise correctness classes (PWSR,
 /// PWCSR, PC, CPC).
 ///
-/// Copies share their clause storage (copy-on-write): copying a predicate
-/// costs a reference-count bump, and AddClause on a shared predicate first
-/// takes a private copy, so predicates keep value semantics. Concurrent
-/// copies and const calls on one predicate are safe, as for any value type.
+/// Copies share their clause storage, which is never written once built:
+/// copying a predicate costs a reference-count bump, and AddClause extends
+/// a fresh copy of the clauses, so predicates keep value semantics and
+/// concurrent copies and const calls on one predicate are safe. AddClause
+/// is linear in the clause count; code that builds a predicate from many
+/// clauses collects them and constructs it once.
 class Predicate {
  public:
   Predicate() = default;
@@ -133,7 +135,7 @@ class Predicate {
   static const std::vector<Clause>& NoClauses();
 
   /// Null for `true` (no clauses); never points at an empty vector.
-  std::shared_ptr<std::vector<Clause>> clauses_;
+  std::shared_ptr<const std::vector<Clause>> clauses_;
 };
 
 /// Convenience atom constructors.

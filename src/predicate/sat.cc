@@ -223,16 +223,16 @@ BoolFormula RandomKSat(int num_vars, int num_clauses, int k, Rng* rng) {
 }
 
 Predicate FormulaToPredicate(const BoolFormula& formula) {
-  Predicate predicate;
+  std::vector<Clause> clauses;
   for (const std::vector<BoolLiteral>& bool_clause : formula.clauses) {
     Clause clause;
     for (const BoolLiteral& lit : bool_clause) {
       clause.AddAtom(EntityVsConst(static_cast<EntityId>(lit.var),
                                    CompareOp::kEq, lit.negated ? 0 : 1));
     }
-    predicate.AddClause(std::move(clause));
+    clauses.push_back(std::move(clause));
   }
-  return predicate;
+  return Predicate(std::move(clauses));
 }
 
 std::vector<std::vector<Value>> Lemma1CandidateSets(int num_vars) {

@@ -28,10 +28,8 @@ void CorrectExecutionProtocol::Register(int tx, TxProfile profile) {
   while (tx >= static_cast<int>(txs_.size())) {
     txs_.push_back(std::make_unique<TxState>());
   }
-  if (tx >= static_cast<int>(records_.size())) {
-    records_.resize(tx + 1);
-    retired_.resize(tx + 1, 0);
-  }
+  while (tx >= num_records()) new_records_.emplace_back();
+  if (tx >= static_cast<int>(retired_.size())) retired_.resize(tx + 1, 0);
   NONSERIAL_CHECK(!retired_[tx])
       << "Register on retired transaction " << tx;
   live_.insert(tx);
@@ -53,7 +51,7 @@ void CorrectExecutionProtocol::Register(int tx, TxProfile profile) {
     state.cached_output = std::make_shared<const CachedPredicate>(
         state.profile.output, options_.eval_cache);
   }
-  records_[tx].name = state.profile.name;
+  Record(tx).name = state.profile.name;
 }
 
 bool CorrectExecutionProtocol::Reaches(int from, int to) const {
@@ -516,7 +514,7 @@ ReqResult CorrectExecutionProtocol::CommitLocked(int tx,
   locks_.ReleaseAll(tx);
   state.phase = Phase::kCommitted;
 
-  TxRecord& record = records_[tx];
+  TxRecord& record = Record(tx);
   record.name = state.profile.name;
   record.input_state = state.input_view;
   record.feeder_txs.clear();
@@ -704,7 +702,7 @@ void CorrectExecutionProtocol::RestoreCommitted(int tx, TxRecord record) {
   state.phase = Phase::kCommitted;
   record.committed = true;
   if (record.name.empty()) record.name = state.profile.name;
-  records_[tx] = std::move(record);
+  Record(tx) = std::move(record);
 }
 
 bool CorrectExecutionProtocol::Retire(int tx) {
@@ -727,7 +725,7 @@ bool CorrectExecutionProtocol::Retire(int tx) {
   retired_[tx] = 1;
   live_.erase(tx);
   // Reclaim the whole state (assignment, views, write log, profile).
-  // PhaseOf still answers from records_[tx] — commit rule 2 consults the
+  // PhaseOf still answers from the record — commit rule 2 consults the
   // writer's phase when a live reader adopted the baseline version — and
   // that record keeps the committed outcome for the verifier.
   txs_[tx].reset();
@@ -798,7 +796,27 @@ bool CorrectExecutionProtocol::IsCommitted(int tx) const {
 CorrectExecutionProtocol::Phase CorrectExecutionProtocol::PhaseOf(
     int tx) const {
   if (txs_[tx] != nullptr) return txs_[tx]->phase;
-  return records_[tx].committed ? Phase::kCommitted : Phase::kIdle;
+  return Record(tx).committed ? Phase::kCommitted : Phase::kIdle;
+}
+
+CorrectExecutionProtocol::TxRecord& CorrectExecutionProtocol::Record(int tx) {
+  int table = static_cast<int>(records_.size());
+  return tx < table ? records_[tx] : new_records_[tx - table];
+}
+
+const CorrectExecutionProtocol::TxRecord& CorrectExecutionProtocol::Record(
+    int tx) const {
+  int table = static_cast<int>(records_.size());
+  return tx < table ? records_[tx] : new_records_[tx - table];
+}
+
+const std::vector<CorrectExecutionProtocol::TxRecord>&
+CorrectExecutionProtocol::records() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  records_.reserve(records_.size() + new_records_.size());
+  for (TxRecord& record : new_records_) records_.push_back(std::move(record));
+  new_records_.clear();
+  return records_;
 }
 
 void CorrectExecutionProtocol::Wake(int tx) { wakeups_.insert(tx); }

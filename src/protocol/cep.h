@@ -157,12 +157,11 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   }
 
   /// Records for committed transactions (indexed by tx id; uncommitted
-  /// transactions have committed == false), as a copy. Only safe once
-  /// driving threads have quiesced — the verifier runs after the drivers
-  /// join.
-  std::vector<TxRecord> records() const {
-    return std::vector<TxRecord>(records_.begin(), records_.end());
-  }
+  /// transactions have committed == false). Only safe once driving threads
+  /// have quiesced — the verifier runs after the drivers join. The
+  /// reference stays valid until records() is next called after a
+  /// Register.
+  const std::vector<TxRecord>& records() const;
 
   // Trace emission uses the base-interface SetObserver (controller.h);
   // events are emitted under the engine lock, in decision order.
@@ -323,9 +322,21 @@ class CorrectExecutionProtocol : public ConcurrencyController {
   /// grows. Retire frees the block, so a retired transaction costs a null
   /// slot here.
   std::vector<std::unique_ptr<TxState>> txs_;
-  /// A deque, so no table of all records is ever reallocated from the
-  /// registering sessions' threads while a history grows.
-  std::deque<TxRecord> records_;
+  /// The record of a registered transaction, in the table or its tail.
+  TxRecord& Record(int tx);
+  const TxRecord& Record(int tx) const;
+  int num_records() const {
+    return static_cast<int>(records_.size() + new_records_.size());
+  }
+  /// Records live in two parts: `records_`, the table records() returns,
+  /// and `new_records_`, the records registered since the last records()
+  /// call, which that call moves onto the end of the table. Registering
+  /// sessions thus append small deque blocks only, and the one table of
+  /// all records is sized once, on the reading thread. (A table regrown
+  /// from session threads leaves a table-sized free hole in each of their
+  /// malloc arenas.)
+  mutable std::vector<TxRecord> records_;
+  mutable std::deque<TxRecord> new_records_;
   /// Registered, unretired transaction ids — the scan set for
   /// AllowableVersions, the abort cascade, and PinnedVersions when
   /// Options::retirement is on (always maintained; cheap either way).

@@ -20,12 +20,12 @@ Expr ClampedBump(EntityId e, Value delta) {
 }
 
 Predicate Bounds(const std::vector<EntityId>& entities) {
-  Predicate p;
+  std::vector<Clause> clauses;
   for (EntityId e : entities) {
-    p.AddClause(Clause({EntityVsConst(e, CompareOp::kGe, kLo)}));
-    p.AddClause(Clause({EntityVsConst(e, CompareOp::kLe, kHi)}));
+    clauses.push_back(Clause({EntityVsConst(e, CompareOp::kGe, kLo)}));
+    clauses.push_back(Clause({EntityVsConst(e, CompareOp::kLe, kHi)}));
   }
-  return p;
+  return Predicate(std::move(clauses));
 }
 
 }  // namespace

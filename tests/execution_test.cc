@@ -259,6 +259,24 @@ TEST(ExecutionCheckTest, ParentBasedViolationDetected) {
   EXPECT_FALSE(CheckParentBased(t.tree, *exec).ok());
 }
 
+TEST(ExecutionCheckTest, ParentBasedReportsTheSmallestUnjustifiedEntity) {
+  SimpleTree t;
+  auto exec = MakeSerialExecution(t.tree, {10, 0, 7});
+  ASSERT_TRUE(exec.ok());
+  // t.1 reads from t.0, whose output has x = 11.
+  ValueVector& x1 = exec->node_executions[t.root].inputs[1];
+  x1 = {999, 0, 555};
+  Status both = CheckParentBased(t.tree, *exec);
+  EXPECT_EQ(both.message(),
+            "child 1 of node 3 reads entity 0 = 999 which comes neither from "
+            "the parent input nor from any sibling it reads from");
+  x1 = {11, 0, 555};  // t.0 justifies x; z stays unjustified.
+  Status z_only = CheckParentBased(t.tree, *exec);
+  EXPECT_EQ(z_only.message(),
+            "child 1 of node 3 reads entity 2 = 555 which comes neither from "
+            "the parent input nor from any sibling it reads from");
+}
+
 TEST(ExecutionCheckTest, MultiversionReadIsParentBased) {
   // t.1 reads the *parent's* x although t.0 wrote x first — legal in the
   // model (multiple versions), impossible in a single-version serial run.

@@ -178,6 +178,10 @@ TEST(PredicateTest, ConcurrentCopiesAndEvaluationsOfOnePredicate) {
   // t + 1) fail; its other 1,980 copies hold.
   for (int t = 0; t < 4; ++t) EXPECT_EQ(holds[t], 1980) << "thread " << t;
   EXPECT_EQ(p.clauses().size(), 2u);
+  // The threads dropped their copies; extending the original now writes
+  // fresh storage, never the clauses those copies read.
+  p.AddClause(Clause({EntityVsConst(1, CompareOp::kGe, 0)}));
+  EXPECT_EQ(p.ToString(), "(e0 >= 0) & (e0 < e1) & (e1 >= 0)");
 }
 
 TEST(PredicateTest, ToStringReadable) {
