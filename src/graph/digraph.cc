@@ -73,25 +73,7 @@ std::vector<int> Digraph::FindCycle() const {
 bool Digraph::HasCycle() const { return !FindCycle().empty(); }
 
 std::optional<std::vector<int>> Digraph::TopologicalOrder() const {
-  std::vector<int> indegree(num_nodes(), 0);
-  for (int i = 0; i < num_nodes(); ++i) {
-    for (int j : adjacency_[i]) ++indegree[j];
-  }
-  std::vector<int> queue;
-  for (int i = 0; i < num_nodes(); ++i) {
-    if (indegree[i] == 0) queue.push_back(i);
-  }
-  std::vector<int> order;
-  order.reserve(num_nodes());
-  for (size_t head = 0; head < queue.size(); ++head) {
-    int node = queue[head];
-    order.push_back(node);
-    for (int next : adjacency_[node]) {
-      if (--indegree[next] == 0) queue.push_back(next);
-    }
-  }
-  if (static_cast<int>(order.size()) != num_nodes()) return std::nullopt;
-  return order;
+  return CompactDigraph(*this).TopologicalOrder();
 }
 
 bool Digraph::Reaches(int from, int to) const {
@@ -114,56 +96,95 @@ bool Digraph::Reaches(int from, int to) const {
   return false;
 }
 
-namespace {
-
-struct TarjanState {
-  const std::vector<std::vector<int>>* adj;
-  std::vector<int> index, lowlink, component;
-  std::vector<bool> on_stack;
-  std::vector<int> stack;
-  int next_index = 0;
-  int num_components = 0;
-
-  void Visit(int v) {
-    index[v] = lowlink[v] = next_index++;
-    stack.push_back(v);
-    on_stack[v] = true;
-    for (int w : (*adj)[v]) {
-      if (index[w] < 0) {
-        Visit(w);
-        lowlink[v] = std::min(lowlink[v], lowlink[w]);
-      } else if (on_stack[w]) {
-        lowlink[v] = std::min(lowlink[v], index[w]);
-      }
-    }
-    if (lowlink[v] == index[v]) {
-      for (;;) {
-        int w = stack.back();
-        stack.pop_back();
-        on_stack[w] = false;
-        component[w] = num_components;
-        if (w == v) break;
-      }
-      ++num_components;
-    }
-  }
-};
-
-}  // namespace
-
 std::vector<int> Digraph::StronglyConnectedComponents(
     int* num_components) const {
-  TarjanState state;
-  state.adj = &adjacency_;
-  state.index.assign(num_nodes(), -1);
-  state.lowlink.assign(num_nodes(), 0);
-  state.component.assign(num_nodes(), -1);
-  state.on_stack.assign(num_nodes(), false);
-  for (int i = 0; i < num_nodes(); ++i) {
-    if (state.index[i] < 0) state.Visit(i);
+  return CompactDigraph(*this).StronglyConnectedComponents(num_components);
+}
+
+CompactDigraph::CompactDigraph(int num_nodes,
+                               const std::vector<std::pair<int, int>>& edges,
+                               bool reverse)
+    : start_(num_nodes + 1, 0), target_(edges.size()) {
+  for (auto [from, to] : edges) ++start_[(reverse ? to : from) + 1];
+  for (int v = 0; v < num_nodes; ++v) start_[v + 1] += start_[v];
+  std::vector<int> fill(start_.begin(), start_.end() - 1);
+  for (auto [from, to] : edges) {
+    if (reverse) std::swap(from, to);
+    target_[fill[from]++] = to;
   }
-  if (num_components != nullptr) *num_components = state.num_components;
-  return state.component;
+}
+
+CompactDigraph::CompactDigraph(const Digraph& g)
+    : start_(g.num_nodes() + 1, 0) {
+  target_.reserve(g.num_edges());
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    target_.insert(target_.end(), g.OutEdges(v).begin(), g.OutEdges(v).end());
+    start_[v + 1] = static_cast<int>(target_.size());
+  }
+}
+
+std::optional<std::vector<int>> CompactDigraph::TopologicalOrder() const {
+  std::vector<int> indegree(num_nodes(), 0);
+  for (int to : target_) ++indegree[to];
+  std::vector<int> order;
+  order.reserve(num_nodes());
+  for (int v = 0; v < num_nodes(); ++v) {
+    if (indegree[v] == 0) order.push_back(v);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (int next : OutEdges(order[head])) {
+      if (--indegree[next] == 0) order.push_back(next);
+    }
+  }
+  if (static_cast<int>(order.size()) != num_nodes()) return std::nullopt;
+  return order;
+}
+
+std::vector<int> CompactDigraph::StronglyConnectedComponents(
+    int* num_components) const {
+  int n = num_nodes();
+  std::vector<int> index(n, -1), lowlink(n, 0), component(n, -1), stack;
+  std::vector<std::pair<int, int>> path;  // (node, next out-edge slot)
+  int next_index = 0;
+  int count = 0;
+  auto visit = [&](int v) {
+    index[v] = lowlink[v] = next_index++;
+    stack.push_back(v);
+    path.push_back({v, start_[v]});
+  };
+  for (int root = 0; root < n; ++root) {
+    if (index[root] >= 0) continue;
+    visit(root);
+    while (!path.empty()) {
+      auto& [v, slot] = path.back();
+      if (slot < start_[v + 1]) {
+        int w = target_[slot++];
+        if (index[w] < 0) {
+          visit(w);  // Invalidates v and slot; the loop re-reads them.
+        } else if (component[w] < 0) {  // Visited and still on the stack.
+          lowlink[v] = std::min(lowlink[v], index[w]);
+        }
+        continue;
+      }
+      int done = v;
+      path.pop_back();
+      if (!path.empty()) {
+        int parent = path.back().first;
+        lowlink[parent] = std::min(lowlink[parent], lowlink[done]);
+      }
+      if (lowlink[done] == index[done]) {
+        int w;
+        do {
+          w = stack.back();
+          stack.pop_back();
+          component[w] = count;
+        } while (w != done);
+        ++count;
+      }
+    }
+  }
+  if (num_components != nullptr) *num_components = count;
+  return component;
 }
 
 std::string Digraph::ToString() const {

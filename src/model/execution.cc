@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -28,84 +26,6 @@ void BuildParentMaps(const TransactionTree& tree, std::vector<int>* parent,
   }
 }
 
-// Digraph over child positions from a (from, to) pair list.
-Digraph EdgesToDigraph(int n, const std::vector<std::pair<int, int>>& edges) {
-  Digraph g(n);
-  for (auto [a, b] : edges) g.AddEdge(a, b);
-  return g;
-}
-
-// The successors of n nodes from a (from, to) pair list, in compressed
-// rows: node v's are target[start[v]] .. target[start[v + 1] - 1], in list
-// order. With `reverse`, each pair is filed under its `to` end instead.
-struct Adjacency {
-  std::vector<int> start;
-  std::vector<int> target;
-
-  Adjacency(int n, const std::vector<std::pair<int, int>>& edges,
-            bool reverse = false)
-      : start(n + 1, 0), target(edges.size()) {
-    for (auto [a, b] : edges) ++start[(reverse ? b : a) + 1];
-    for (int v = 0; v < n; ++v) start[v + 1] += start[v];
-    std::vector<int> fill(start.begin(), start.end() - 1);
-    for (auto [a, b] : edges) {
-      if (reverse) std::swap(a, b);
-      target[fill[a]++] = b;
-    }
-  }
-
-  std::span<const int> Of(int v) const {
-    return std::span<const int>(target).subspan(start[v],
-                                                start[v + 1] - start[v]);
-  }
-};
-
-// Strongly connected components of `g` (Tarjan's algorithm with an explicit
-// stack); ids are in reverse topological order of the condensation.
-std::vector<int> Components(const Adjacency& g, int* num_components) {
-  int n = static_cast<int>(g.start.size()) - 1;
-  std::vector<int> index(n, -1), low(n, 0), comp(n, -1), stack;
-  std::vector<std::pair<int, int>> path;  // (node, next edge slot)
-  int next_index = 0;
-  *num_components = 0;
-  for (int root = 0; root < n; ++root) {
-    if (index[root] >= 0) continue;
-    index[root] = low[root] = next_index++;
-    stack.push_back(root);
-    path.push_back({root, g.start[root]});
-    while (!path.empty()) {
-      auto& [v, slot] = path.back();
-      if (slot < g.start[v + 1]) {
-        int w = g.target[slot++];
-        if (index[w] < 0) {
-          index[w] = low[w] = next_index++;
-          stack.push_back(w);
-          path.push_back({w, g.start[w]});
-        } else if (comp[w] < 0) {  // Visited and still on the stack.
-          low[v] = std::min(low[v], index[w]);
-        }
-        continue;
-      }
-      int done = v;
-      path.pop_back();
-      if (!path.empty()) {
-        int parent = path.back().first;
-        low[parent] = std::min(low[parent], low[done]);
-      }
-      if (low[done] == index[done]) {
-        int w;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          comp[w] = *num_components;
-        } while (w != done);
-        ++*num_components;
-      }
-    }
-  }
-  return comp;
-}
-
 // (t_i, t_j) ∈ P+  =>  (t_j, t_i) ∉ R+, for the n children of node `id`.
 // Sweeps the sources in blocks of 64, one bit per source: pa[v] holds the
 // block sources that reach v by a P+ path, rd[c] the block sources that R's
@@ -117,27 +37,15 @@ std::vector<int> Components(const Adjacency& g, int* num_components) {
 Status CheckOrderNotInvalidated(
     int id, int n, const std::vector<std::pair<int, int>>& p_edges,
     const std::vector<std::pair<int, int>>& r_edges) {
-  Adjacency p(n, p_edges);
-  Adjacency r(n, r_edges);
-  // A topological order of P (Kahn).
-  std::vector<int> indegree(n, 0);
-  for (int w : p.target) ++indegree[w];
-  std::vector<int> p_topo;
-  p_topo.reserve(n);
-  for (int v = 0; v < n; ++v) {
-    if (indegree[v] == 0) p_topo.push_back(v);
-  }
-  for (size_t k = 0; k < p_topo.size(); ++k) {
-    for (int w : p.Of(p_topo[k])) {
-      if (--indegree[w] == 0) p_topo.push_back(w);
-    }
-  }
-  NONSERIAL_CHECK(static_cast<int>(p_topo.size()) == n)
-      << "partial order of node " << id << " is cyclic";
+  CompactDigraph p(n, p_edges);
+  CompactDigraph r(n, r_edges);
+  std::optional<std::vector<int>> p_topo = p.TopologicalOrder();
+  NONSERIAL_CHECK(p_topo.has_value()) << "partial order of node " << id
+                                      << " is cyclic";
   // R's condensation. Tarjan ids are reverse-topological, so ascending id
   // order visits a component's successors first.
   int num_comps = 0;
-  std::vector<int> comp = Components(r, &num_comps);
+  std::vector<int> comp = r.StronglyConnectedComponents(&num_comps);
   std::vector<int> comp_start(num_comps + 1, 0);
   for (int v = 0; v < n; ++v) ++comp_start[comp[v] + 1];
   for (int c = 0; c < num_comps; ++c) comp_start[c + 1] += comp_start[c];
@@ -154,10 +62,10 @@ Status CheckOrderNotInvalidated(
       return v >= base && v < end ? uint64_t{1} << (v - base) : 0;
     };
     std::fill(pa.begin(), pa.end(), 0);
-    for (int u : p_topo) {
+    for (int u : *p_topo) {
       uint64_t from_u = pa[u] | bit(u);
       if (from_u == 0) continue;
-      for (int w : p.Of(u)) pa[w] |= from_u;
+      for (int w : p.OutEdges(u)) pa[w] |= from_u;
     }
     std::fill(in_block.begin(), in_block.end(), 0);
     for (int v = base; v < end; ++v) in_block[comp[v]] |= bit(v);
@@ -166,7 +74,7 @@ Status CheckOrderNotInvalidated(
     for (int c = 0; c < num_comps; ++c) {
       uint64_t reach = in_block[c];
       for (int k = comp_start[c]; k < comp_start[c + 1]; ++k) {
-        for (int w : r.Of(members[k])) {
+        for (int w : r.OutEdges(members[k])) {
           if (comp[w] != c) reach |= rd[comp[w]];
         }
       }
@@ -305,7 +213,7 @@ Status CheckParentBased(const TransactionTree& tree,
     NONSERIAL_ASSIGN_OR_RETURN(ValueVector parent_input, eval.InputOf(id));
     int n = static_cast<int>(node.children.size());
     // The siblings each child reads from.
-    Adjacency feeders(n, ne.reads_from, /*reverse=*/true);
+    CompactDigraph feeders(n, ne.reads_from, /*reverse=*/true);
     // Each feeder's output is computed once per child and clears every
     // entity it justifies; an entity left over is reported (the smallest).
     std::vector<EntityId> unjustified;
@@ -321,7 +229,7 @@ Status CheckParentBased(const TransactionTree& tree,
           unjustified.push_back(static_cast<EntityId>(e));
         }
       }
-      for (int j : feeders.Of(i)) {
+      for (int j : feeders.OutEdges(i)) {
         if (unjustified.empty()) break;
         NONSERIAL_ASSIGN_OR_RETURN(UniqueState out_j,
                                    eval.OutputOf(node.children[j]));
@@ -398,9 +306,8 @@ StatusOr<UniqueState> SerializeNode(
   }
   if (order.empty()) {
     // Default: a topological order of P (positions ascending as tiebreak).
-    Digraph p = EdgesToDigraph(n, node.partial_order);
-    p.EnsureNodes(n);
-    auto topo = p.TopologicalOrder();
+    std::optional<std::vector<int>> topo =
+        CompactDigraph(n, node.partial_order).TopologicalOrder();
     if (!topo.has_value()) {
       return Status::InvalidArgument(
           StrCat("node ", node_id, " has cyclic partial order"));

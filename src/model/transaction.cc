@@ -224,16 +224,14 @@ Status TransactionTree::Validate() const {
       }
       ++parent_count[child];
     }
-    Digraph po(num_children);
     for (auto [a, b] : n.partial_order) {
       if (a < 0 || a >= num_children || b < 0 || b >= num_children) {
         return Status::InvalidArgument(
             StrCat("node ", id, " partial order references position out of "
                    "range"));
       }
-      po.AddEdge(a, b);
     }
-    if (po.HasCycle()) {
+    if (!CompactDigraph(num_children, n.partial_order).TopologicalOrder()) {
       return Status::InvalidArgument(
           StrCat("node ", id, " partial order is cyclic"));
     }

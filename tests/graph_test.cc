@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/digraph.h"
 
@@ -96,6 +98,35 @@ TEST(DigraphTest, StronglyConnectedComponents) {
   EXPECT_EQ(comp[2], comp[3]);
   EXPECT_NE(comp[0], comp[2]);
   EXPECT_NE(comp[4], comp[0]);
+}
+
+TEST(CompactDigraphTest, EdgeListRowsReverseAndParallelEdges) {
+  std::vector<std::pair<int, int>> edges = {{0, 2}, {1, 2}, {0, 1}, {0, 2}};
+  CompactDigraph g(3, edges);
+  EXPECT_EQ(g.num_nodes(), 3);
+  EXPECT_EQ(std::vector<int>(g.OutEdges(0).begin(), g.OutEdges(0).end()),
+            (std::vector<int>{2, 1, 2}));
+  EXPECT_TRUE(g.OutEdges(2).empty());
+  EXPECT_EQ(g.TopologicalOrder(), (std::vector<int>{0, 1, 2}));
+  CompactDigraph in(3, edges, /*reverse=*/true);
+  EXPECT_EQ(std::vector<int>(in.OutEdges(2).begin(), in.OutEdges(2).end()),
+            (std::vector<int>{0, 1, 0}));
+  EXPECT_FALSE(CompactDigraph(2, {{0, 1}, {1, 0}}).TopologicalOrder());
+}
+
+TEST(CompactDigraphTest, ComponentsOfADeepCycleNeedNoDeepCallStack) {
+  // A 200,000-node cycle: one component, found without recursing per node.
+  int n = 200'000;
+  std::vector<std::pair<int, int>> edges;
+  for (int v = 0; v < n; ++v) edges.push_back({v, (v + 1) % n});
+  edges.push_back({n - 1, n - 1});
+  int count = 0;
+  std::vector<int> comp =
+      CompactDigraph(n + 1, edges).StronglyConnectedComponents(&count);
+  EXPECT_EQ(count, 2);  // The cycle, then the isolated node n.
+  EXPECT_TRUE(std::all_of(comp.begin(), comp.end() - 1,
+                          [&](int c) { return c == comp[0]; }));
+  EXPECT_NE(comp[n], comp[0]);
 }
 
 TEST(DigraphTest, ToStringListsEdges) {
